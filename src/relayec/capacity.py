@@ -13,10 +13,10 @@ frame) and m in FD.  Natural logarithm throughout.  Per-sample rates can
 be negative in deep fades; they are kept as-is because the exponential
 handles them exactly and truncation would bias the estimate.
 
-The ``*_objective_fn`` factories return closures over a fixed sample set
-with every loop-invariant constant hoisted; the solvers evaluate these
-closures inside their line searches.  The plain functions produce bit
-identical values through the same raw kernels.
+The ``*_fn`` factories return closures over a fixed sample set with every
+loop-invariant constant hoisted (the exact objective on two per-node
+capacity closures); the solvers evaluate them inside their line searches.
+The plain functions produce bit identical values through the same kernels.
 """
 
 from __future__ import annotations
@@ -117,6 +117,11 @@ def _log_mean_term(rates: np.ndarray, t: _NodeTerms) -> float:
     return float(np.logaddexp(t.log1m_eps + log_mean_exp, t.log_eps))
 
 
+def _capacity(mode: RelayMode, omega: float, p_r: float, p: float, t: _NodeTerms) -> float:
+    rates = _rate_raw(_gamma(mode, omega, p_r, p, t), t.qscale, t.bonus)
+    return -(_log_mean_term(rates, t) / t.m_theta)
+
+
 def per_sample_rates(
     mode: RelayMode,
     samples: ChannelSamples,
@@ -139,9 +144,7 @@ def effective_capacity(
 ) -> float:
     """Monte-Carlo effective capacity of one node, in bits per channel use."""
     t = _node_terms(mode, samples, params, node)
-    gamma = _gamma(mode, params.omega, alloc.p_r, alloc.p_node, t)
-    rates = _rate_raw(gamma, t.qscale, t.bonus)
-    return -(_log_mean_term(rates, t) / t.m_theta)
+    return _capacity(mode, params.omega, alloc.p_r, alloc.p_node, t)
 
 
 def ec_point(
@@ -191,21 +194,31 @@ def surrogate_objective(
     return surrogate_objective_fn(mode, samples, params)(alloc.p_r)
 
 
+def node_capacity_fn(
+    mode: RelayMode, samples: ChannelSamples, params: SystemParams, node: str
+) -> Callable[[float], float]:
+    """Closure evaluating one node's effective capacity at a relay power, bit
+    identical to :func:`effective_capacity` at ``from_relay_power(p_r, p_tot)``."""
+    t = _node_terms(mode, samples, params, node)
+    omega = params.omega
+    p_tot = params.p_tot
+
+    def capacity(p_r: float) -> float:
+        return _capacity(mode, omega, p_r, (p_tot - p_r) / 2.0, t)
+
+    return capacity
+
+
 def weighted_objective_fn(
     mode: RelayMode, samples: ChannelSamples, params: SystemParams
 ) -> Callable[[float], float]:
     """Closure evaluating the exact objective J at a relay power."""
-    t_a = _node_terms(mode, samples, params, "A")
-    t_b = _node_terms(mode, samples, params, "B")
+    r_ea = node_capacity_fn(mode, samples, params, "A")
+    r_eb = node_capacity_fn(mode, samples, params, "B")
     w = params.w
-    omega = params.omega
-    p_tot = params.p_tot
 
     def objective(p_r: float) -> float:
-        p = (p_tot - p_r) / 2.0
-        lt_a = _log_mean_term(_rate_raw(_gamma(mode, omega, p_r, p, t_a), t_a.qscale, t_a.bonus), t_a)
-        lt_b = _log_mean_term(_rate_raw(_gamma(mode, omega, p_r, p, t_b), t_b.qscale, t_b.bonus), t_b)
-        return w * (lt_a / t_a.m_theta) + (1.0 - w) * (lt_b / t_b.m_theta)
+        return -(w * r_ea(p_r) + (1.0 - w) * r_eb(p_r))
 
     return objective
 

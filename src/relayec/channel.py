@@ -9,6 +9,7 @@ Exponential(1) variate.  Node distances satisfy d_a + d_b = 1.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,8 +26,8 @@ class Geometry:
     def __post_init__(self):
         if not 0.0 < self.d_a < 1.0:
             raise ValueError(f"d_a must lie in (0, 1), got {self.d_a}")
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
     @property
     def d_b(self) -> float:

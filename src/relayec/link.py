@@ -49,8 +49,8 @@ class SystemParams:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m}")
-        if self.p_tot <= 0.0:
-            raise ValueError(f"p_tot must be positive, got {self.p_tot}")
+        if not 0.0 < self.p_tot < math.inf:
+            raise ValueError(f"p_tot must be positive and finite, got {self.p_tot}")
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
         for name in ("eps_a", "eps_b"):
@@ -58,10 +58,10 @@ class SystemParams:
             if not 0.0 < v <= 0.5:
                 raise ValueError(f"{name} must lie in (0, 0.5], got {v}")
         for name in ("theta_a", "theta_b"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.gamma_t_a < 0.0 or self.gamma_t_b < 0.0:
-            raise ValueError("SNR thresholds must be >= 0")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not (0.0 <= self.gamma_t_a < math.inf and 0.0 <= self.gamma_t_b < math.inf):
+            raise ValueError("SNR thresholds must be >= 0 and finite")
         if not 0.0 <= self.w <= 1.0:
             raise ValueError(f"w must lie in [0, 1], got {self.w}")
         if self.hd_rate_blocklength not in ("m", "m/2"):
@@ -119,9 +119,9 @@ class PowerAllocation:
     p_node: float
 
     def __post_init__(self):
-        if self.p_r < 0.0 or self.p_node < 0.0:
+        if not (0.0 <= self.p_r < math.inf and 0.0 <= self.p_node < math.inf):
             raise ValueError(
-                f"powers must be non-negative, got p_r={self.p_r}, p_node={self.p_node}"
+                f"powers must be non-negative and finite, got p_r={self.p_r}, p_node={self.p_node}"
             )
 
     @property

@@ -10,7 +10,8 @@ interval the surrogate develops spurious minima (worst-sample artifacts
 and a funnel where every SNR collapses to zero yet the blocklength term
 keeps the rate positive), so the search is deliberately local around the
 closed-form warm start.  Frontier tracing runs either solver across a
-weight grid, or maximizes one node's capacity under a floor on the other.
+weight grid, or maximizes one node's capacity under a floor on the other,
+with one peak search per node and a bracketing secant per floor crossing.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .capacity import (
     EcPoint,
     ec_point,
     effective_capacity,
+    node_capacity_fn,
     surrogate_objective_fn,
     weighted_objective_fn,
 )
@@ -445,22 +447,34 @@ def pareto_weighted(
     )
 
 
-def _bisect_crossing(
+def _crossing(
     f: Callable[[float], float],
     x_bad: float,
+    f_bad: float,
     x_good: float,
+    f_good: float,
     tol: float,
 ) -> float:
-    """Root of f between a point where f < 0 and one where f >= 0.
+    """Feasible end of a bracket no wider than ``tol`` around the root of a
+    monotone f, from x_bad (f < 0) and x_good (f >= 0) and their values.
 
-    Returns an abscissa on the feasible (f >= 0) side of the crossing.
+    Illinois regula falsi: probes at the secant root, held tol/2 inside
+    the bracket so that a probe next to the root closes it from the far
+    side; an end kept twice in a row has its value halved.
     """
+    last = 0
     while abs(x_good - x_bad) > tol:
-        mid = 0.5 * (x_bad + x_good)
-        if f(mid) >= 0.0:
-            x_good = mid
+        h = 0.5 * tol / abs(x_good - x_bad)
+        x = x_good + min(max(f_good / (f_good - f_bad), h), 1.0 - h) * (x_bad - x_good)
+        fx = f(x)
+        if fx >= 0.0:
+            if last > 0:
+                f_bad *= 0.5
+            x_good, f_good, last = x, fx, 1
         else:
-            x_bad = mid
+            if last < 0:
+                f_good *= 0.5
+            x_bad, f_bad, last = x, fx, -1
     return x_good
 
 
@@ -474,26 +488,25 @@ def pareto_epsilon_constraint(
     node B's.
 
     Node B's capacity is single-peaked in relay power, so each feasible
-    floor cuts out one interval; its ends are located by bisection from
-    the peak outwards and node A's capacity is then maximized inside.
-    Floors above the attainable maximum are skipped and reported.
+    floor cuts out one interval; its ends are located by :func:`_crossing`
+    from the peak outwards.  Node A's capacity is single-peaked too, so its
+    maximum inside is its peak, searched once per call, clipped into the
+    interval.  Floors above the attainable maximum are skipped and reported.
     """
     if len(mu_grid) == 0:
         raise ValueError("mu_grid must not be empty")
+    if not all(math.isfinite(mu) for mu in mu_grid):
+        raise ValueError(f"floors must be finite, got {tuple(mu_grid)}")
     tol = line_search_tolerance(params)
-
-    def r_eb(p_r: float) -> float:
-        alloc = PowerAllocation.from_relay_power(p_r, params.p_tot)
-        return effective_capacity(mode, samples, params, alloc, "B")
-
-    def r_ea(p_r: float) -> float:
-        alloc = PowerAllocation.from_relay_power(p_r, params.p_tot)
-        return effective_capacity(mode, samples, params, alloc, "A")
+    r_ea = node_capacity_fn(mode, samples, params, "A")
+    r_eb = node_capacity_fn(mode, samples, params, "B")
 
     x_peak, eb_peak = maximize_unimodal(
         r_eb, 0.0, params.p_tot, tol,
         x0=warm_start_relay_power(mode, samples, params.with_(w=0.0)),
     )
+    ends = ((0.0, r_eb(0.0)), (params.p_tot, r_eb(params.p_tot)))
+    x_a = None
 
     points = []
     feasible_mu = []
@@ -502,18 +515,21 @@ def pareto_epsilon_constraint(
         if mu > eb_peak:
             infeasible.append(float(mu))
             continue
-        if r_eb(0.0) >= mu:
-            left = 0.0
-        else:
-            left = _bisect_crossing(lambda x: r_eb(x) - mu, 0.0, x_peak, tol)
-        if r_eb(params.p_tot) >= mu:
-            right = params.p_tot
-        else:
-            right = _bisect_crossing(lambda x: r_eb(x) - mu, params.p_tot, x_peak, tol)
+        left, right = (
+            x_end if eb_end >= mu else _crossing(
+                lambda x: r_eb(x) - mu, x_end, eb_end - mu, x_peak, eb_peak - mu, tol
+            )
+            for x_end, eb_end in ends
+        )
         if right - left <= tol:
             x = x_peak
         else:
-            x, _ = maximize_unimodal(r_ea, left, right, tol)
+            if x_a is None:
+                x_a, _ = maximize_unimodal(
+                    r_ea, 0.0, params.p_tot, tol,
+                    x0=warm_start_relay_power(mode, samples, params.with_(w=1.0)),
+                )
+            x = min(max(x_a, left), right)
         alloc = PowerAllocation.from_relay_power(x, params.p_tot)
         points.append(ec_point(mode, samples, params, alloc))
         feasible_mu.append(float(mu))

@@ -14,8 +14,9 @@ class TestGeometry:
         for bad in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
                 Geometry(d_a=bad, alpha=4.0)
-        with pytest.raises(ValueError):
-            Geometry(d_a=0.5, alpha=0.0)
+        for bad in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                Geometry(d_a=0.5, alpha=bad)
 
 
 class TestSampling:

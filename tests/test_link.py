@@ -54,8 +54,9 @@ class TestPowerAllocation:
             PowerAllocation.from_relay_power(-1.0, 100.0)
         with pytest.raises(ValueError):
             PowerAllocation.from_relay_power(101.0, 100.0)
-        with pytest.raises(ValueError):
-            PowerAllocation(p_r=-1.0, p_node=1.0)
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                PowerAllocation(p_r=bad, p_node=1.0)
 
 
 class TestSystemParams:
@@ -74,14 +75,21 @@ class TestSystemParams:
         assert p.theta_for("B") == 0.01
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            SystemParams.reference(omega=1.5)
-        with pytest.raises(ValueError):
-            SystemParams.reference(w=-0.1)
-        with pytest.raises(ValueError):
-            SystemParams.reference(eps_a=0.9)
-        with pytest.raises(ValueError):
-            SystemParams.reference(hd_rate_blocklength="half")
+        nan, inf = float("nan"), float("inf")
+        for bad in (
+            dict(omega=1.5),
+            dict(w=-0.1),
+            dict(eps_a=0.9),
+            dict(hd_rate_blocklength="half"),
+            dict(p_tot=nan),
+            dict(p_tot=inf),
+            dict(theta_a=nan),
+            dict(theta_b=nan),
+            dict(gamma_t_a=nan),
+            dict(gamma_t_b=nan),
+        ):
+            with pytest.raises(ValueError):
+                SystemParams.reference(**bad)
 
 
 class TestSnrHd:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from relayec import (
     warm_start_relay_power,
 )
 from relayec.capacity import _gamma, _node_terms, _rate_raw  # test-only peek
-from relayec.solver import SolveMethod, line_search_tolerance
+from relayec.solver import SolveMethod, _crossing, line_search_tolerance
 
 
 def reference_samples(n=400, seed=7, d_a=0.5):
@@ -310,6 +312,49 @@ class TestParetoEpsilonConstraint:
         kept = [m for m in mus if m not in front.infeasible]
         for mu, pt in zip(kept, front.points):
             assert pt.r_eb >= mu - 1e-6
+
+    def test_nonfinite_floor_rejected(self):
+        s = reference_samples(50)
+        p = SystemParams.reference()
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                pareto_epsilon_constraint(RelayMode.FD, s, p, (bad, 3.0))
+
+    def test_point_per_floor_independent_of_grid_order(self):
+        s = reference_samples(300, d_a=0.3)
+        p = SystemParams.reference(d_a=0.3, omega=0.05)
+        mus = (0.0, 3.0, 4.0, 5.0, 5.5, 1e6)
+
+        def by_floor(grid):
+            front = pareto_epsilon_constraint(RelayMode.FD, s, p, grid)
+            return dict(zip(front.parameter_grid, front.points)), set(front.infeasible)
+
+        want = by_floor(mus)
+        assert len(want[0]) >= 3
+        shuffled = tuple(np.random.default_rng(1).permutation(mus))
+        assert by_floor(shuffled) == want
+        assert by_floor(mus[::-1] + mus) == want
+
+
+class TestCrossing:
+    TOL = 1e-6
+
+    @pytest.mark.parametrize("x_bad, x_good", [(0.0, 3.0), (3.0, 0.0)])
+    def test_feasible_side_within_tol_in_few_evals(self, x_bad, x_good):
+        # Monotone between the ends and flat at the feasible one, like a
+        # capacity near its peak; bisection would need log2(3 / TOL) probes.
+        root = x_good + math.copysign(0.5 ** 0.5, x_bad - x_good)
+        f = lambda x: 0.5 - (x - x_good) ** 2
+        calls = []
+        x = _crossing(lambda x: calls.append(x) or f(x), x_bad, f(x_bad), x_good, f(x_good), self.TOL)
+        assert f(x) >= 0.0
+        assert abs(x - root) <= self.TOL
+        assert len(calls) < math.ceil(math.log2(abs(x_good - x_bad) / self.TOL))
+
+    def test_feasible_end_at_root(self):
+        f = lambda x: x - 1.0
+        x = _crossing(f, 0.0, -1.0, 1.0, 0.0, self.TOL)
+        assert 1.0 - self.TOL <= x <= 1.0
 
 
 class TestFilterDominated:
