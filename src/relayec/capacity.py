@@ -13,10 +13,20 @@ frame) and m in FD.  Natural logarithm throughout.  Per-sample rates can
 be negative in deep fades; they are kept as-is because the exponential
 handles them exactly and truncation would bias the estimate.
 
+Every estimate runs through one blocked kernel.  Per ``_BLOCK`` samples it
+computes the node-symmetric SINR pieces once, then each requested node's
+SINR, rate and exponent z = -r c theta in place in one block buffer, and
+keeps the block's maximum z_b and shifted sum s_b = sum exp(z - z_b).  The
+blocks combine by the max-shifted sum ln mean exp(z) = Z + ln(sum_b s_b
+exp(z_b - Z) / n), Z = max_b z_b, so no block can overflow or underflow the
+total (Blanchard, Higham & Higham 2021, "Accurately computing the
+log-sum-exp and softmax functions").  Memory stays a few block buffers.
+
 The ``*_fn`` factories return closures over a fixed sample set with every
-loop-invariant constant hoisted (the exact objective on two per-node
-capacity closures); the solvers evaluate them inside their line searches.
-The plain functions produce bit identical values through the same kernels.
+loop-invariant constant hoisted; the solvers evaluate them inside their
+line searches.  A node's capacity does not depend on which other node is
+evaluated with it, so the plain functions, the closures and ``ec_point``
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -28,14 +38,18 @@ from typing import Callable
 import numpy as np
 
 from .channel import ChannelSamples
-from .fbl import _rate_raw, rate_blocklength_bonus, rate_dispersion_scale
+from .fbl import _rate_into, fbl_rate, rate_blocklength_bonus, rate_dispersion_scale
 from .link import (
+    NODES,
     PowerAllocation,
     RelayMode,
     SystemParams,
-    _sinr_fd_raw,
-    _snr_hd_raw,
+    _sinr_node,
+    _sinr_shared,
+    sinr_fd,
 )
+
+_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -71,7 +85,6 @@ class _NodeTerms:
     """Loop-invariant pieces of one node's estimator."""
 
     hr: np.ndarray
-    ho: np.ndarray
     qscale: float
     bonus: float
     c_theta: float
@@ -83,17 +96,13 @@ class _NodeTerms:
 def _node_terms(
     mode: RelayMode, samples: ChannelSamples, params: SystemParams, node: str
 ) -> _NodeTerms:
-    if node not in ("A", "B"):
+    if node not in NODES:
         raise ValueError(f"node must be 'A' or 'B', got {node!r}")
-    hr, ho = (
-        (samples.h_a, samples.h_b) if node == "A" else (samples.h_b, samples.h_a)
-    )
     m_cu = rate_blocklength(params, mode)
     eps = params.eps_for(node)
     theta = params.theta_for(node)
     return _NodeTerms(
-        hr=hr,
-        ho=ho,
+        hr=samples.h_a if node == "A" else samples.h_b,
         qscale=rate_dispersion_scale(m_cu, eps),
         bonus=rate_blocklength_bonus(m_cu),
         c_theta=exponent_blocklength(params, mode) * theta,
@@ -103,23 +112,56 @@ def _node_terms(
     )
 
 
-def _gamma(mode: RelayMode, omega: float, p_r: float, p: float, t: _NodeTerms):
-    if mode is RelayMode.HD:
-        return _snr_hd_raw(p_r, p, t.hr, t.ho)
-    return _sinr_fd_raw(p_r, p, omega, t.hr, t.ho)
+def _block_rates_fn(mode: RelayMode, samples: ChannelSamples, params: SystemParams, nodes):
+    """The terms of ``nodes`` and a generator function yielding, block by
+    block, one rate array per node at (p_r, p).  The arrays are block
+    buffers owned by the closure, overwritten by the next block."""
+    terms = [_node_terms(mode, samples, params, node) for node in nodes]
+    omega = params.omega_for(mode)
+    n = len(samples)
+    bufs = np.empty((3 + len(terms), min(n, _BLOCK)))
+    blocks = []  # per block: buffer rows, both gains and each node's own gains
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        views = list(bufs[:, : hi - lo])
+        blocks.append((views, samples.h_a[lo:hi], samples.h_b[lo:hi], [t.hr[lo:hi] for t in terms]))
+
+    def rates(p_r: float, p: float):
+        for (num, common, tmp, *out), h_a, h_b, h_rs in blocks:
+            _, _, relay = _sinr_shared(p_r, p, omega, h_a, h_b, num, common)
+            yield [
+                _rate_into(_sinr_node(num, common, relay, h_r, o), t.qscale, t.bonus, tmp)
+                for t, h_r, o in zip(terms, h_rs, out)
+            ]
+
+    return terms, rates
 
 
-def _log_mean_term(rates: np.ndarray, t: _NodeTerms) -> float:
-    """ln( mean[exp(-r c theta)] (1 - eps) + eps ), computed without overflow."""
-    z = -t.c_theta * rates
-    zmax = float(z.max())
-    log_mean_exp = math.log(float(np.mean(np.exp(z - zmax)))) + zmax
-    return float(np.logaddexp(t.log1m_eps + log_mean_exp, t.log_eps))
+def _capacities_fn(
+    mode: RelayMode, samples: ChannelSamples, params: SystemParams, nodes
+) -> Callable[[float, float], list]:
+    """Closure evaluating the effective capacities of ``nodes`` at (p_r, p)."""
+    terms, rates = _block_rates_fn(mode, samples, params, nodes)
+    n = len(samples)
 
+    def capacities(p_r: float, p: float) -> list:
+        per_node = [[] for _ in terms]
+        for block in rates(p_r, p):
+            for z, t, kept in zip(block, terms, per_node):
+                z *= -t.c_theta
+                z_max = float(np.maximum.reduce(z))
+                z -= z_max
+                kept.append((z_max, float(np.add.reduce(np.exp(z, out=z)))))
+        out = []
+        for t, kept in zip(terms, per_node):
+            top = max(z_max for z_max, _ in kept)
+            total = math.fsum(s * math.exp(z_max - top) for z_max, s in kept)
+            # -ln( mean[exp(-r c theta)] (1 - eps) + eps ) / (m theta), by logaddexp
+            a, b = t.log1m_eps + math.log(total / n) + top, t.log_eps
+            out.append(-(max(a, b) + math.log1p(math.exp(-abs(a - b)))) / t.m_theta)
+        return out
 
-def _capacity(mode: RelayMode, omega: float, p_r: float, p: float, t: _NodeTerms) -> float:
-    rates = _rate_raw(_gamma(mode, omega, p_r, p, t), t.qscale, t.bonus)
-    return -(_log_mean_term(rates, t) / t.m_theta)
+    return capacities
 
 
 def per_sample_rates(
@@ -130,9 +172,8 @@ def per_sample_rates(
     node: str,
 ) -> np.ndarray:
     """Finite-blocklength rate of one node for every fading sample."""
-    t = _node_terms(mode, samples, params, node)
-    gamma = _gamma(mode, params.omega, alloc.p_r, alloc.p_node, t)
-    return _rate_raw(gamma, t.qscale, t.bonus)
+    gamma = sinr_fd(alloc, params.omega_for(mode), samples.h_a, samples.h_b, node)
+    return fbl_rate(gamma, rate_blocklength(params, mode), params.eps_for(node))
 
 
 def effective_capacity(
@@ -143,8 +184,7 @@ def effective_capacity(
     node: str,
 ) -> float:
     """Monte-Carlo effective capacity of one node, in bits per channel use."""
-    t = _node_terms(mode, samples, params, node)
-    return _capacity(mode, params.omega, alloc.p_r, alloc.p_node, t)
+    return _capacities_fn(mode, samples, params, (node,))(alloc.p_r, alloc.p_node)[0]
 
 
 def ec_point(
@@ -153,11 +193,8 @@ def ec_point(
     params: SystemParams,
     alloc: PowerAllocation,
 ) -> EcPoint:
-    return EcPoint(
-        r_ea=effective_capacity(mode, samples, params, alloc, "A"),
-        r_eb=effective_capacity(mode, samples, params, alloc, "B"),
-        alloc=alloc,
-    )
+    r_ea, r_eb = _capacities_fn(mode, samples, params, NODES)(alloc.p_r, alloc.p_node)
+    return EcPoint(r_ea=r_ea, r_eb=r_eb, alloc=alloc)
 
 
 def weighted_objective_exact(
@@ -199,12 +236,11 @@ def node_capacity_fn(
 ) -> Callable[[float], float]:
     """Closure evaluating one node's effective capacity at a relay power, bit
     identical to :func:`effective_capacity` at ``from_relay_power(p_r, p_tot)``."""
-    t = _node_terms(mode, samples, params, node)
-    omega = params.omega
+    capacities = _capacities_fn(mode, samples, params, (node,))
     p_tot = params.p_tot
 
     def capacity(p_r: float) -> float:
-        return _capacity(mode, omega, p_r, (p_tot - p_r) / 2.0, t)
+        return capacities(p_r, (p_tot - p_r) / 2.0)[0]
 
     return capacity
 
@@ -213,12 +249,13 @@ def weighted_objective_fn(
     mode: RelayMode, samples: ChannelSamples, params: SystemParams
 ) -> Callable[[float], float]:
     """Closure evaluating the exact objective J at a relay power."""
-    r_ea = node_capacity_fn(mode, samples, params, "A")
-    r_eb = node_capacity_fn(mode, samples, params, "B")
+    capacities = _capacities_fn(mode, samples, params, NODES)
     w = params.w
+    p_tot = params.p_tot
 
     def objective(p_r: float) -> float:
-        return -(w * r_ea(p_r) + (1.0 - w) * r_eb(p_r))
+        r_ea, r_eb = capacities(p_r, (p_tot - p_r) / 2.0)
+        return -(w * r_ea + (1.0 - w) * r_eb)
 
     return objective
 
@@ -227,18 +264,18 @@ def surrogate_objective_fn(
     mode: RelayMode, samples: ChannelSamples, params: SystemParams
 ) -> Callable[[float], float]:
     """Closure evaluating the min-max surrogate tau at a relay power."""
-    t_a = _node_terms(mode, samples, params, "A")
-    t_b = _node_terms(mode, samples, params, "B")
+    _, rates = _block_rates_fn(mode, samples, params, NODES)
     w = params.w
-    omega = params.omega
     p_tot = params.p_tot
 
     def objective(p_r: float) -> float:
-        p = (p_tot - p_r) / 2.0
-        r_a = _rate_raw(_gamma(mode, omega, p_r, p, t_a), t_a.qscale, t_a.bonus)
-        r_b = _rate_raw(_gamma(mode, omega, p_r, p, t_b), t_b.qscale, t_b.bonus)
-        # max of -0.5 (w r_a + (1-w) r_b) without an extra array pass; the
-        # half scale is a power of two, so this is the exact same value.
-        return -0.5 * float(np.min(w * r_a + (1.0 - w) * r_b))
+        # max of -0.5 (w r_a + (1-w) r_b); the half scale is a power of two,
+        # so scaling the minimum gives the exact same value.
+        low = math.inf
+        for r_a, r_b in rates(p_r, (p_tot - p_r) / 2.0):
+            r_a *= w
+            r_b *= 1.0 - w
+            low = min(low, float(np.minimum.reduce(np.add(r_a, r_b, out=r_a))))
+        return -0.5 * low
 
     return objective

@@ -97,6 +97,10 @@ class ExperimentConfig:
             raise ConfigError(f"format must be csv|json, got {self.format!r}")
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
+        values = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        for name, v in values + [("sweep_values", x) for x in self.sweep_values]:
+            if isinstance(v, float) and not np.isfinite(v):
+                raise ConfigError(f"{name} must be finite, got {v}")
         if self.sweep_values and list(self.sweep_values) != sorted(self.sweep_values):
             raise ConfigError("sweep_values must be sorted ascending")
 

@@ -59,16 +59,20 @@ def rate_blocklength_bonus(m_cu: float) -> float:
     return float(np.log2(m_cu) / m_cu)
 
 
-def _rate_raw(gamma, qscale: float, bonus: float):
-    """Rate formula on pre-validated inputs with hoisted scalars.
+def _rate_into(gamma: np.ndarray, qscale: float, bonus: float, tmp: np.ndarray) -> np.ndarray:
+    """Overwrite the SNR array ``gamma`` with its rate, using the scratch
+    array ``tmp`` of the same shape, and return it.
 
     Uses gamma (gamma + 2) / (gamma + 1)^2 == 1 - 1 / (gamma + 1)^2, which
     needs one transcendental less; the line-search objectives evaluate
     this thousands of times per solve.
     """
-    gp1 = gamma + 1.0
-    dispersion = np.sqrt(1.0 - 1.0 / (gp1 * gp1))
-    return np.log2(gp1) - qscale * dispersion + bonus
+    gamma += 1.0
+    np.multiply(gamma, gamma, out=tmp)
+    dispersion = np.sqrt(np.subtract(1.0, np.reciprocal(tmp, out=tmp), out=tmp), out=tmp)
+    np.subtract(np.log2(gamma, out=gamma), np.multiply(dispersion, qscale, out=tmp), out=gamma)
+    gamma += bonus
+    return gamma
 
 
 def fbl_rate(gamma, m_cu, eps):
@@ -88,10 +92,11 @@ def fbl_rate(gamma, m_cu, eps):
         raise ValueError(f"blocklength must be >= 1, got {m_cu}")
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"error probability must lie in (0, 0.5], got {eps}")
-    g = np.asarray(gamma, dtype=float)
+    g = np.array(gamma, dtype=float)
     if np.any(g < 0.0):
         raise ValueError("SNR must be non-negative")
-    r = _rate_raw(g, rate_dispersion_scale(m_cu, eps), rate_blocklength_bonus(m_cu))
+    qscale, bonus = rate_dispersion_scale(m_cu, eps), rate_blocklength_bonus(m_cu)
+    r = _rate_into(g, qscale, bonus, np.empty_like(g))
     return float(r) if r.ndim == 0 else r
 
 

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
+import numpy as np
+
 from .channel import Geometry
 
 NODES = ("A", "B")
@@ -75,6 +77,10 @@ class SystemParams:
 
     def gamma_t_for(self, node: str) -> float:
         return self.gamma_t_a if node == "A" else self.gamma_t_b
+
+    def omega_for(self, mode: RelayMode) -> float:
+        """Self-interference the SINR sees: HD is FD at omega = 0."""
+        return self.omega if mode is RelayMode.FD else 0.0
 
     def with_(self, **changes) -> "SystemParams":
         return replace(self, **changes)
@@ -149,26 +155,39 @@ def _oriented(h_a, h_b, node: str):
     raise ValueError(f"node must be 'A' or 'B', got {node!r}")
 
 
-def _snr_hd_raw(p_r: float, p: float, hr, ho):
-    # Parenthesization matches the omega=0 reduction of _sinr_fd_raw exactly,
-    # keeping the HD/FD cross-check bit-identical.
-    return p * p_r * hr * ho / (p_r * hr + (p * hr + p * ho + 1.0))
-
-
-def _sinr_fd_raw(p_r: float, p: float, omega: float, hr, ho):
+def _sinr_shared(p_r: float, p: float, omega: float, h_a, h_b, num=None, common=None):
+    """Node-symmetric pieces of the FD SINR, written into ``num`` and
+    ``common`` when given.  The SINR at the node with own gain h_r is
+    num / (relay h_r + common), with num = p p_r H_A H_B, common = (p omega
+    + 1)(p (H_A + H_B) + p_r omega + 1) and relay = p_r (p_r omega + 1).
+    Both pieces are bit-symmetric in the gains, and every factor holding
+    omega is exactly 1 at omega = 0."""
     leak_r = p_r * omega + 1.0
-    den = p_r * hr * leak_r + (p * omega + 1.0) * (p * hr + p * ho + leak_r)
-    return p * p_r * hr * ho / den
+    leak = p * omega + 1.0
+    # Without buffers, plain operators keep scalar calls cheap (1.0 * makes
+    # integer gains float, exactly); the later steps work in place either way.
+    num = 1.0 * h_a * h_b if num is None else np.multiply(h_a, h_b, out=num)
+    common = 1.0 * h_a + h_b if common is None else np.add(h_a, h_b, out=common)
+    num *= p * p_r
+    common *= p * leak
+    common += leak_r * leak
+    return num, common, p_r * leak_r
+
+
+def _sinr_node(num, common, relay: float, h_r, out=None):
+    """One node's SINR from the shared pieces, written into ``out`` when given."""
+    den = h_r * relay if out is None else np.multiply(h_r, relay, out=out)
+    den += common
+    return num / den if out is None else np.divide(num, den, out=out)
 
 
 def snr_hd(alloc: PowerAllocation, h_a, h_b, node: str = "A"):
-    """Post-combining SNR at one node of the HD two-way relay.
+    """Post-combining SNR at one node of the HD two-way relay: FD at omega = 0.
 
     Vectorized over the gain arguments.  Zero when either the relay or the
     nodes get no power, since the amplified signal carries a factor of each.
     """
-    hr, ho = _oriented(h_a, h_b, node)
-    return _snr_hd_raw(alloc.p_r, alloc.p_node, hr, ho)
+    return sinr_fd(alloc, 0.0, h_a, h_b, node)
 
 
 def sinr_fd(alloc: PowerAllocation, omega: float, h_a, h_b, node: str = "A"):
@@ -176,12 +195,12 @@ def sinr_fd(alloc: PowerAllocation, omega: float, h_a, h_b, node: str = "A"):
 
     Residual self-interference enters twice: re-amplified by the relay
     (quadratic in p_r) and locally at the receiving node.  With omega = 0
-    this reduces exactly to :func:`snr_hd`.
+    this is :func:`snr_hd`.
     """
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must lie in [0, 1], got {omega}")
-    hr, ho = _oriented(h_a, h_b, node)
-    return _sinr_fd_raw(alloc.p_r, alloc.p_node, omega, hr, ho)
+    hr, _ = _oriented(h_a, h_b, node)
+    return _sinr_node(*_sinr_shared(alloc.p_r, alloc.p_node, omega, h_a, h_b), hr)
 
 
 def _check_gains(h_a: float, h_b: float) -> None:

@@ -33,15 +33,7 @@ from .capacity import (
     weighted_objective_fn,
 )
 from .channel import ChannelSamples
-from .link import (
-    PowerAllocation,
-    RelayMode,
-    SystemParams,
-    optimal_relay_power_fd,
-    optimal_relay_power_hd,
-    sinr_fd,
-    snr_hd,
-)
+from .link import NODES, PowerAllocation, RelayMode, SystemParams, optimal_relay_power_fd, sinr_fd
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 GROWTH = 1.0 + INVPHI
@@ -215,29 +207,17 @@ def warm_start_relay_power(
 ) -> float:
     """Priority-weighted blend of the closed-form single-node optima,
     evaluated at the sample-mean gains."""
-    ha, hb = samples.mean_gains()
-    if mode is RelayMode.HD:
-        p_a = optimal_relay_power_hd(ha, hb, params.p_tot, "A")
-        p_b = optimal_relay_power_hd(ha, hb, params.p_tot, "B")
-    else:
-        p_a = optimal_relay_power_fd(ha, hb, params.p_tot, params.omega, "A")
-        p_b = optimal_relay_power_fd(ha, hb, params.p_tot, params.omega, "B")
+    p_a, p_b = _single_node_optima(mode, samples, params)
     return params.w * p_a + (1.0 - params.w) * p_b
 
 
 def _single_node_optima(
     mode: RelayMode, samples: ChannelSamples, params: SystemParams
 ) -> tuple[float, float]:
+    # The FD closed form at omega = 0 is the HD one bit for bit.
     ha, hb = samples.mean_gains()
-    if mode is RelayMode.HD:
-        return (
-            optimal_relay_power_hd(ha, hb, params.p_tot, "A"),
-            optimal_relay_power_hd(ha, hb, params.p_tot, "B"),
-        )
-    return (
-        optimal_relay_power_fd(ha, hb, params.p_tot, params.omega, "A"),
-        optimal_relay_power_fd(ha, hb, params.p_tot, params.omega, "B"),
-    )
+    omega = params.omega_for(mode)
+    return tuple(optimal_relay_power_fd(ha, hb, params.p_tot, omega, node) for node in NODES)
 
 
 def line_search_tolerance(params: SystemParams) -> float:
@@ -361,9 +341,7 @@ def _mean_gain_snr(
     alloc: PowerAllocation, node: str,
 ) -> float:
     ha, hb = samples.mean_gains()
-    if mode is RelayMode.HD:
-        return float(snr_hd(alloc, ha, hb, node))
-    return float(sinr_fd(alloc, params.omega, ha, hb, node))
+    return float(sinr_fd(alloc, params.omega_for(mode), ha, hb, node))
 
 
 def apply_threshold_policy(
@@ -393,10 +371,7 @@ def apply_threshold_policy(
 
     ha, hb = samples.mean_gains()
     keep = "B" if below_a else "A"
-    if mode is RelayMode.HD:
-        p_r = optimal_relay_power_hd(ha, hb, params.p_tot, keep)
-    else:
-        p_r = optimal_relay_power_fd(ha, hb, params.p_tot, params.omega, keep)
+    p_r = optimal_relay_power_fd(ha, hb, params.p_tot, params.omega_for(mode), keep)
     alloc = PowerAllocation.from_relay_power(p_r, params.p_tot)
     kept_ec = effective_capacity(mode, samples, params, alloc, keep)
     if keep == "B":

@@ -1,8 +1,10 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from relayec import (
     ChannelSamples,
@@ -16,9 +18,12 @@ from relayec import (
     per_sample_rates,
     sample_channels,
     save_csv,
+    sinr_fd,
+    snr_hd,
     surrogate_objective,
     weighted_objective_exact,
 )
+from relayec.capacity import _BLOCK, node_capacity_fn, weighted_objective_fn
 
 # frozen independently (bisection on the Gaussian tail at 40 digits)
 QINV = {1e-4: 3.7190164854556805644, 1e-2: 2.3263478740408408034}
@@ -250,3 +255,84 @@ class TestEcPoint:
             from relayec import EcPoint
 
             EcPoint(r_ea=float("nan"), r_eb=1.0, alloc=PowerAllocation(1.0, 1.0))
+
+
+def plain_capacity(mode, samples, params, alloc, node):
+    """The estimator without blocks: public SINR, public rate, then scipy's
+    log-sum-exp over the whole sample set."""
+    if mode is RelayMode.FD:
+        gamma, m_cu, c = sinr_fd(alloc, params.omega, samples.h_a, samples.h_b, node), params.m, params.m
+    else:
+        gamma, m_cu, c = snr_hd(alloc, samples.h_a, samples.h_b, node), params.m / 2.0, params.m / 2.0
+    eps, theta = params.eps_for(node), params.theta_for(node)
+    lme = logsumexp(-c * theta * fbl_rate(gamma, m_cu, eps)) - math.log(len(samples))
+    return -np.logaddexp(math.log1p(-eps) + lme, math.log(eps)) / (params.m * theta)
+
+
+class TestBlockedKernel:
+    SIZES = (1, 1000, _BLOCK, 2 * _BLOCK + 17)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_plain_reference(self, n):
+        s = reference_samples(n, seed=5, d_a=0.3)
+        for mode in RelayMode:
+            p = SystemParams.reference(d_a=0.3, omega=0.05, w=0.3)
+            for p_r in (50.0, 400.0, 900.0):
+                alloc = PowerAllocation.from_relay_power(p_r, p.p_tot)
+                pt = ec_point(mode, s, p, alloc)
+                for node, got in (("A", pt.r_ea), ("B", pt.r_eb)):
+                    want = plain_capacity(mode, s, p, alloc, node)
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0), (n, mode, p_r, node)
+
+    @pytest.mark.parametrize("faded_block", (0, 1))
+    def test_blocks_far_apart_in_exponent(self, faded_block):
+        # one block of deep fades among strong ones: its rates are near 0,
+        # the others' tens of bits, so its exponent maximum lies further
+        # above every other block's than exp's range
+        rng = np.random.default_rng(9)
+        n = 2 * _BLOCK + 17
+        scale = np.full(n, 1e6)
+        scale[faded_block * _BLOCK : (faded_block + 1) * _BLOCK] = 1e-6
+        s = ChannelSamples(h_a=scale * rng.exponential(size=n), h_b=scale * rng.exponential(size=n))
+        p = SystemParams.reference(theta_a=2.0, theta_b=2.0)
+        alloc = PowerAllocation.from_relay_power(400.0, p.p_tot)
+        for mode, c in ((RelayMode.HD, p.m / 2.0), (RelayMode.FD, p.m)):
+            z = -c * p.theta_a * per_sample_rates(mode, s, p, alloc, "A")
+            maxima = [z[lo : lo + _BLOCK].max() for lo in range(0, n, _BLOCK)]
+            faded = maxima.pop(faded_block)
+            assert all(faded - m > 710.0 for m in maxima)
+            pt = ec_point(mode, s, p, alloc)
+            for node, got in (("A", pt.r_ea), ("B", pt.r_eb)):
+                want = plain_capacity(mode, s, p, alloc, node)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (mode, node)
+
+    def test_identities_bit_exact_across_blocks(self):
+        n = 2 * _BLOCK + 17
+        s = reference_samples(n, seed=13)
+        for mode in RelayMode:
+            p = SystemParams.reference(w=0.3)
+            cap = {node: node_capacity_fn(mode, s, p, node) for node in ("A", "B")}
+            objective = weighted_objective_fn(mode, s, p)
+            for p_r in (0.0, 123.4, 650.0, p.p_tot):
+                alloc = PowerAllocation.from_relay_power(p_r, p.p_tot)
+                pt = ec_point(mode, s, p, alloc)
+                for node, in_point in (("A", pt.r_ea), ("B", pt.r_eb)):
+                    assert cap[node](p_r) == effective_capacity(mode, s, p, alloc, node) == in_point
+                assert -objective(p_r) == p.w * pt.r_ea + (1.0 - p.w) * pt.r_eb
+                for node in ("A", "B"):
+                    assert np.array_equal(snr_hd(alloc, s.h_a, s.h_b, node), sinr_fd(alloc, 0.0, s.h_a, s.h_b, node))
+
+
+def test_fd_ec_point_memory_stays_in_blocks():
+    # the blocked kernel holds a few block buffers, not full-length temporaries
+    # (an unblocked FD ec_point at this size peaks at 40 MB)
+    p = SystemParams.reference()
+    s = reference_samples(2**20, seed=3)
+    alloc = PowerAllocation.from_relay_power(300.0, p.p_tot)
+    tracemalloc.start()
+    try:
+        ec_point(RelayMode.FD, s, p, alloc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -72,6 +72,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(samples=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"sweep_param": "d_a", "sweep_values": (0.7, float("nan"), 0.2)},
+            {"sweep_param": "d_a", "sweep_values": (0.2, float("inf"))},
+            {"p_tot": float("inf")},
+            {"omega": float("nan")},
+            {"w": float("-inf")},
+            {"theta_a": float("nan")},
+        ],
+    )
+    def test_nonfinite_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**kwargs)
+
 
 class TestEmitTable:
     ROWS = [
@@ -230,6 +245,14 @@ class TestMain:
     def test_config_error_exit_code(self, tmp_path, capsys):
         assert main(["fig4", "--mode", "xx", "--out", str(tmp_path / "x.csv")]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--omega", "--w", "--d-a"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_flag_exit_code(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        assert main(["fig4", flag, value, "--samples", "40", "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "x.csv"

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,19 +13,20 @@ from relayec import (
     SystemParams,
     apply_threshold_policy,
     effective_capacity,
+    fbl_rate,
     filter_dominated,
     maximize_unimodal,
     optimal_relay_power_hd,
     pareto_epsilon_constraint,
     pareto_weighted,
     sample_channels,
+    sinr_fd,
     snr_hd,
     solve_approx,
     solve_exact,
     threshold_roots_hd,
     warm_start_relay_power,
 )
-from relayec.capacity import _gamma, _node_terms, _rate_raw  # test-only peek
 from relayec.solver import SolveMethod, _crossing, line_search_tolerance
 
 
@@ -50,18 +52,25 @@ class TestMaximizeUnimodal:
         assert x == pytest.approx(optimal_relay_power_hd(2.0, 1.0, 10.0, "A"), abs=1e-6)
 
     def test_ec_matches_fine_grid(self):
-        # broadcast grid oracle over 1e5 relay powers at modest sample count
+        # broadcast grid oracle over 1e5 relay powers at modest sample count,
+        # from the public SINR and rate; sinr_fd reads only p_r and p_node,
+        # so a namespace of power columns, with the gains broadcast to match,
+        # evaluates it over the grid
         p = SystemParams.reference(omega=0.1)
         s = reference_samples(100, seed=11)
-        t = _node_terms(RelayMode.FD, s, p, "A")
         grid = np.linspace(0.0, p.p_tot, 100_000)
-        pn = (p.p_tot - grid) / 2.0
-        gam = _gamma(RelayMode.FD, p.omega, grid[:, None], pn[:, None], t)
-        rates = _rate_raw(gam, t.qscale, t.bonus)
-        z = -t.c_theta * rates
-        zmax = z.max(axis=1, keepdims=True)
-        lme = np.log(np.mean(np.exp(z - zmax), axis=1)) + zmax[:, 0]
-        ec = -(np.logaddexp(t.log1m_eps + lme, t.log_eps)) / t.m_theta
+        c_theta = p.m * p.theta_a  # in FD the exponent and the normalization both use m
+
+        def ec_rows(p_r):
+            powers = SimpleNamespace(p_r=p_r[:, None], p_node=(p.p_tot - p_r)[:, None] / 2.0)
+            h_a, h_b = (np.broadcast_to(h, (p_r.size, len(s))) for h in (s.h_a, s.h_b))
+            rates = fbl_rate(sinr_fd(powers, p.omega, h_a, h_b, "A"), p.m, p.eps_a)
+            z = -c_theta * rates
+            zmax = z.max(axis=1, keepdims=True)
+            lme = np.log(np.mean(np.exp(z - zmax), axis=1)) + zmax[:, 0]
+            return -np.logaddexp(math.log1p(-p.eps_a) + lme, math.log(p.eps_a)) / c_theta
+
+        ec = np.concatenate([ec_rows(chunk) for chunk in np.array_split(grid, 20)])
         x_grid = grid[np.argmax(ec)]
 
         f = lambda p_r: effective_capacity(
