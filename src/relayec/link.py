@@ -155,26 +155,33 @@ def _oriented(h_a, h_b, node: str):
     raise ValueError(f"node must be 'A' or 'B', got {node!r}")
 
 
-def _sinr_shared(p_r: float, p: float, omega: float, h_a, h_b, num=None, common=None):
-    """Node-symmetric pieces of the FD SINR, written into ``num`` and
-    ``common`` when given.  The SINR at the node with own gain h_r is
-    num / (relay h_r + common), with num = p p_r H_A H_B, common = (p omega
-    + 1)(p (H_A + H_B) + p_r omega + 1) and relay = p_r (p_r omega + 1).
-    Both pieces are bit-symmetric in the gains, and every factor holding
-    omega is exactly 1 at omega = 0."""
+def _sinr_coefficients(p_r: float, p: float, omega: float) -> tuple:
+    """Power factors (p p_r, p leak, leak_r leak, relay) of the FD SINR at one
+    allocation, with leak = p omega + 1 and leak_r = p_r omega + 1.  The SINR
+    at the node with own gain h_r is num / (relay h_r + common), with num =
+    p p_r H_A H_B, common = p leak (H_A + H_B) + leak_r leak and relay = p_r
+    leak_r; every factor holding omega is exactly 1 at omega = 0."""
     leak_r = p_r * omega + 1.0
     leak = p * omega + 1.0
+    return p * p_r, p * leak, leak_r * leak, p_r * leak_r
+
+
+def _sinr_shared(coef, h_a, h_b, num=None, common=None):
+    """Node-symmetric pieces num and common of the FD SINR, bit-symmetric in
+    the gains, from the factors of :func:`_sinr_coefficients` (floats, or one
+    column per allocation), written into ``num`` and ``common`` when given."""
+    pp, p_leak, leaks, relay = coef
     # Without buffers, plain operators keep scalar calls cheap (1.0 * makes
     # integer gains float, exactly); the later steps work in place either way.
     num = 1.0 * h_a * h_b if num is None else np.multiply(h_a, h_b, out=num)
     common = 1.0 * h_a + h_b if common is None else np.add(h_a, h_b, out=common)
-    num *= p * p_r
-    common *= p * leak
-    common += leak_r * leak
-    return num, common, p_r * leak_r
+    num *= pp
+    common *= p_leak
+    common += leaks
+    return num, common, relay
 
 
-def _sinr_node(num, common, relay: float, h_r, out=None):
+def _sinr_node(num, common, relay, h_r, out=None):
     """One node's SINR from the shared pieces, written into ``out`` when given."""
     den = h_r * relay if out is None else np.multiply(h_r, relay, out=out)
     den += common
@@ -200,7 +207,7 @@ def sinr_fd(alloc: PowerAllocation, omega: float, h_a, h_b, node: str = "A"):
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must lie in [0, 1], got {omega}")
     hr, _ = _oriented(h_a, h_b, node)
-    return _sinr_node(*_sinr_shared(alloc.p_r, alloc.p_node, omega, h_a, h_b), hr)
+    return _sinr_node(*_sinr_shared(_sinr_coefficients(alloc.p_r, alloc.p_node, omega), h_a, h_b), hr)
 
 
 def _check_gains(h_a: float, h_b: float) -> None:

@@ -12,6 +12,13 @@ keeps the rate positive), so the search is deliberately local around the
 closed-form warm start.  Frontier tracing runs either solver across a
 weight grid, or maximizes one node's capacity under a floor on the other,
 with one peak search per node and a bracketing secant per floor crossing.
+
+Every search is a generator that yields its next probe and takes the value
+back, so many run in lockstep: each round gathers every unfinished search's
+probe and evaluates them all in one batched kernel call.  A weight sweep's
+searches and a floor trace's crossings each advance that way; a single
+solve is the one-search case.  No search's probe sequence depends on the
+others, so lockstep changes no result.
 """
 
 from __future__ import annotations
@@ -24,14 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .capacity import (
-    EcPoint,
-    ec_point,
-    effective_capacity,
-    node_capacity_fn,
-    surrogate_objective_fn,
-    weighted_objective_fn,
-)
+from .capacity import EcPoint, _kernel, effective_capacity, node_capacity_fn
 from .channel import ChannelSamples
 from .link import NODES, PowerAllocation, RelayMode, SystemParams, optimal_relay_power_fd, sinr_fd
 
@@ -86,21 +86,19 @@ class _SearchResult:
     probes: list[tuple[float, float]]
 
 
+def _probe(probes: list, x: float):
+    fx = yield x
+    probes.append((x, fx))
+    return fx
+
+
 def _line_search(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float,
-    x0: Optional[float],
-    grad_tol: Optional[float],
-) -> _SearchResult:
+    lo: float, hi: float, tol: float, x0: Optional[float], grad_tol: Optional[float], probe_x: bool = True
+):
+    """Golden-section maximization as a generator: yields each probe x,
+    takes f(x) back by ``send`` and returns a :class:`_SearchResult`.  With
+    ``probe_x`` false the returned midpoint is left unprobed (fx NaN)."""
     probes: list[tuple[float, float]] = []
-
-    def ff(x: float) -> float:
-        v = f(x)
-        probes.append((x, v))
-        return v
-
     iters = 0
     a, b = lo, hi
 
@@ -110,7 +108,9 @@ def _line_search(
         xm = min(max(x0, lo), hi)
         a = max(lo, xm - step)
         b = min(hi, xm + step)
-        fa, fm, fb = ff(a), ff(xm), ff(b)
+        fa = yield from _probe(probes, a)
+        fm = yield from _probe(probes, xm)
+        fb = yield from _probe(probes, b)
         while not (fm >= fa and fm >= fb):
             iters += 1
             if iters >= MAX_ITER or (a <= lo and b >= hi):
@@ -121,28 +121,29 @@ def _line_search(
                 b, fb = xm, fm
                 xm, fm = a, fa
                 a = max(lo, xm - step)
-                fa = ff(a)
+                fa = yield from _probe(probes, a)
             else:
                 a, fa = xm, fm
                 xm, fm = b, fb
                 b = min(hi, xm + step)
-                fb = ff(b)
+                fb = yield from _probe(probes, b)
 
     # Golden-section shrink of [a, b].
     c = b - INVPHI * (b - a)
     d = a + INVPHI * (b - a)
     if b - a > tol:
-        fc, fd = ff(c), ff(d)
+        fc = yield from _probe(probes, c)
+        fd = yield from _probe(probes, d)
         while iters < MAX_ITER:
             iters += 1
             if fc > fd:
                 b, d, fd = d, c, fc
                 c = b - INVPHI * (b - a)
-                fc = ff(c)
+                fc = yield from _probe(probes, c)
             else:
                 a, c, fc = c, d, fd
                 d = a + INVPHI * (b - a)
-                fd = ff(d)
+                fd = yield from _probe(probes, d)
             if b - a <= tol:
                 if grad_tol is None or c == d:
                     break
@@ -151,8 +152,39 @@ def _line_search(
                     break
 
     x = 0.5 * (a + b)
-    fx = ff(x)
+    fx = (yield from _probe(probes, x)) if probe_x else math.nan
     return _SearchResult(x=x, fx=fx, iterations=max(iters, 1), evals=len(probes), probes=probes)
+
+
+def _lockstep(searches: Sequence, evaluate: Callable[[list, list], list]) -> list:
+    """Run search generators side by side and return their results.  Each
+    round hands every unfinished search's probe to one ``evaluate(indices,
+    xs)`` call, which returns their values in order, and sends them back."""
+    results = [None] * len(searches)
+    values = [None] * len(searches)
+    rows = range(len(searches))
+    while rows:
+        live, xs = [], []
+        for i in rows:
+            try:
+                xs.append(searches[i].send(values[i]))
+                live.append(i)
+            except StopIteration as stop:
+                results[i] = stop.value
+        for i, value in zip(live, evaluate(live, xs) if live else ()):
+            values[i] = value
+        rows = live
+    return results
+
+
+def _drive(search, f: Callable[[float], float]):
+    """Run one search generator on a scalar function."""
+    return _lockstep([search], lambda _, xs: [f(x) for x in xs])[0]
+
+
+def _check_search(lo: float, hi: float, tol: float, x0: Optional[float]) -> None:
+    if not (all(map(math.isfinite, (lo, hi, tol, 0.0 if x0 is None else x0))) and tol > 0.0 and lo < hi):
+        raise ValueError(f"need finite lo < hi, tol > 0 and x0, got lo={lo}, hi={hi}, tol={tol}, x0={x0}")
 
 
 def maximize_unimodal(
@@ -172,14 +204,14 @@ def maximize_unimodal(
     costs fewer evaluations when the start is good and, for a function
     with several local maxima, keeps the search in the start point's
     basin.  ``grad_tol``, when given, additionally requires the last
-    two-point slope estimate to fall below it before stopping.
+    two-point slope estimate to fall below it before stopping.  Non-finite
+    inputs and ``tol <= 0`` raise ``ValueError``.
 
     With ``full_output`` the return value is
     (argmax, max, iterations, evaluations, probes).
     """
-    if lo >= hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    res = _line_search(f, lo, hi, tol, x0, grad_tol)
+    _check_search(lo, hi, tol, x0)
+    res = _drive(_line_search(lo, hi, tol, x0, grad_tol), f)
     if full_output:
         return res.x, res.fx, res.iterations, res.evals, res.probes
     return res.x, res.fx
@@ -226,6 +258,80 @@ def line_search_tolerance(params: SystemParams) -> float:
     return 1e-6 * params.p_tot
 
 
+def _solve_weights(
+    mode: RelayMode,
+    samples: ChannelSamples,
+    params: SystemParams,
+    weights: Sequence[float],
+    method: SolveMethod,
+    x0: Optional[float] = None,
+    apply_policy: bool = True,
+) -> list[SolveReport]:
+    """Solve the exact or the approximate problem at every weight, with all
+    line searches in lockstep over one batched evaluator.  Each weight's
+    probes, iterations and evaluations are those of a solve on its own; the
+    reports share the batch's wall time."""
+    t0 = time.perf_counter()
+    tol = line_search_tolerance(params)
+    _check_search(0.0, params.p_tot, tol, x0)
+    p_a, p_b = _single_node_optima(mode, samples, params)
+    capacities, taus = _kernel(mode, samples, params, NODES)
+    evals = [0] * len(weights)
+    last = [None] * len(weights)  # capacities at each search's latest probe
+    exact = method is SolveMethod.EXACT
+    if exact:
+        def evaluate(rows: list, xs: list) -> list:
+            values = []
+            for i, (r_ea, r_eb) in zip(rows, capacities(xs)):
+                evals[i] += 1
+                last[i] = (r_ea, r_eb)
+                values.append(weights[i] * r_ea + (1.0 - weights[i]) * r_eb)
+            return values
+
+        # Warm started at the closed-form blend of warm_start_relay_power.
+        searches = [
+            _line_search(0.0, params.p_tot, tol, w * p_a + (1.0 - w) * p_b if x0 is None else x0, 0.1)
+            for w in weights
+        ]
+    else:
+        def evaluate(rows: list, xs: list) -> list:
+            for i in rows:
+                evals[i] += 1
+            return [-tau for tau in taus(xs, [weights[i] for i in rows])]
+
+        lo, hi = min(p_a, p_b), max(p_a, p_b)
+        # The closed-form optima localize the search: a plain golden section over
+        # their span, or with a start point bracket expansion around it (clipped
+        # into the span).  A span within tol gets one probe: midpoint or start.
+        start = None if x0 is None else min(max(x0, lo), hi)
+        if hi - lo <= tol and start is not None:
+            lo, hi, start = start, start, None
+        searches = [_line_search(lo, hi, tol, start, 0.1, probe_x=False) for _ in weights]
+    results = _lockstep(searches, evaluate)
+
+    # A probe trail that is not single-peaked falls back to a grid scan.
+    valley = [i for i, res in enumerate(results) if exact and _has_interior_valley(res.probes)]
+    refines = []
+    for i in valley:
+        grid = np.linspace(0.0, params.p_tot, 1024)
+        k = int(np.argmax(evaluate([i] * grid.size, list(grid))))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+        refines.append(_line_search(lo, hi, tol, None, 0.1))
+    for i, refine in zip(valley, _lockstep(refines, lambda rows, xs: evaluate([valley[r] for r in rows], xs))):
+        results[i] = replace(refine, iterations=results[i].iterations + refine.iterations + 1)
+
+    if not exact:  # the last probe evaluates the capacities reported, not the surrogate
+        evals = [n + 1 for n in evals]
+        last = capacities([res.x for res in results])
+    reports = []
+    for res, (r_ea, r_eb), n_evals in zip(results, last, evals):
+        alloc = PowerAllocation.from_relay_power(res.x, params.p_tot)
+        report = SolveReport(alloc, EcPoint(r_ea, r_eb, alloc), method, None, res.iterations, n_evals, 0.0)
+        reports.append(apply_threshold_policy(report, mode, samples, params) if apply_policy else report)
+    wall_time = time.perf_counter() - t0
+    return [replace(report, wall_time=wall_time) for report in reports]
+
+
 def solve_exact(
     mode: RelayMode,
     samples: ChannelSamples,
@@ -240,44 +346,9 @@ def solve_exact(
     on the probe trail afterwards; a violation (possible in FD, where
     per-node capacities are single-peaked but their weighted sum is not
     proven to be) triggers a 1024-point grid scan with local refinement.
+    The capacities reported are those of the search's final probe.
     """
-    t0 = time.perf_counter()
-    tol = line_search_tolerance(params)
-    evals = 0
-    j_fn = weighted_objective_fn(mode, samples, params)
-
-    def objective(p_r: float) -> float:
-        nonlocal evals
-        evals += 1
-        return -j_fn(p_r)
-
-    start = warm_start_relay_power(mode, samples, params) if x0 is None else x0
-    res = _line_search(objective, 0.0, params.p_tot, tol, start, grad_tol=0.1)
-    x, iterations = res.x, res.iterations
-
-    if _has_interior_valley(res.probes):
-        grid = np.linspace(0.0, params.p_tot, 1024)
-        values = [objective(g) for g in grid]
-        k = int(np.argmax(values))
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, grid.size - 1)]
-        refine = _line_search(objective, lo, hi, tol, None, grad_tol=0.1)
-        x = refine.x
-        iterations += refine.iterations + 1
-
-    alloc = PowerAllocation.from_relay_power(x, params.p_tot)
-    report = SolveReport(
-        alloc=alloc,
-        ec=ec_point(mode, samples, params, alloc),
-        method=SolveMethod.EXACT,
-        silenced=None,
-        iterations=iterations,
-        objective_evals=evals,
-        wall_time=0.0,
-    )
-    if apply_policy:
-        report = apply_threshold_policy(report, mode, samples, params)
-    return replace(report, wall_time=time.perf_counter() - t0)
+    return _solve_weights(mode, samples, params, (params.w,), SolveMethod.EXACT, x0, apply_policy)[0]
 
 
 def solve_approx(
@@ -293,55 +364,11 @@ def solve_approx(
     closed-form single-node optima: a priority-weighted compromise between
     single-peaked per-node objectives lies between their maximizers, and
     beyond them the surrogate's worst-sample structure turns multimodal
-    (see module docstring).  The reported capacities are re-evaluated with
-    the exact estimators at the returned allocation.
+    (see module docstring).  The search's last probe, at the returned relay
+    power, evaluates the exact capacities reported instead of the surrogate,
+    whose value there is never used.
     """
-    t0 = time.perf_counter()
-    tol = line_search_tolerance(params)
-    evals = 0
-    tau_fn = surrogate_objective_fn(mode, samples, params)
-
-    def objective(p_r: float) -> float:
-        nonlocal evals
-        evals += 1
-        return -tau_fn(p_r)
-
-    p_a, p_b = _single_node_optima(mode, samples, params)
-    lo, hi = min(p_a, p_b), max(p_a, p_b)
-    # The closed-form optima already localize the search, so the default is
-    # a plain golden section over their span; an explicit start point adds
-    # bracket expansion around it (clipped into the span).
-    start = None if x0 is None else min(max(x0, lo), hi)
-
-    if hi - lo <= tol:
-        x = 0.5 * (lo + hi) if start is None else start
-        objective(x)
-        iterations = 1
-    else:
-        res = _line_search(objective, lo, hi, tol, start, grad_tol=0.1)
-        x, iterations = res.x, res.iterations
-
-    alloc = PowerAllocation.from_relay_power(x, params.p_tot)
-    report = SolveReport(
-        alloc=alloc,
-        ec=ec_point(mode, samples, params, alloc),
-        method=SolveMethod.APPROXIMATE,
-        silenced=None,
-        iterations=iterations,
-        objective_evals=evals,
-        wall_time=0.0,
-    )
-    if apply_policy:
-        report = apply_threshold_policy(report, mode, samples, params)
-    return replace(report, wall_time=time.perf_counter() - t0)
-
-
-def _mean_gain_snr(
-    mode: RelayMode, samples: ChannelSamples, params: SystemParams,
-    alloc: PowerAllocation, node: str,
-) -> float:
-    ha, hb = samples.mean_gains()
-    return float(sinr_fd(alloc, params.omega_for(mode), ha, hb, node))
+    return _solve_weights(mode, samples, params, (params.w,), SolveMethod.APPROXIMATE, x0, apply_policy)[0]
 
 
 def apply_threshold_policy(
@@ -360,18 +387,18 @@ def apply_threshold_policy(
     degenerate flag set, which keeps sweeps comparable instead of
     transmitting nothing.
     """
-    g_a = _mean_gain_snr(mode, samples, params, report.alloc, "A")
-    g_b = _mean_gain_snr(mode, samples, params, report.alloc, "B")
-    below_a = g_a <= params.gamma_t_a
-    below_b = g_b <= params.gamma_t_b
+    ha, hb = samples.mean_gains()
+    omega = params.omega_for(mode)
+    below_a, below_b = (
+        float(sinr_fd(report.alloc, omega, ha, hb, node)) <= params.gamma_t_for(node) for node in NODES
+    )
     if below_a and below_b:
         return replace(report, degenerate=True)
     if not (below_a or below_b):
         return report
 
-    ha, hb = samples.mean_gains()
     keep = "B" if below_a else "A"
-    p_r = optimal_relay_power_fd(ha, hb, params.p_tot, params.omega_for(mode), keep)
+    p_r = optimal_relay_power_fd(ha, hb, params.p_tot, omega, keep)
     alloc = PowerAllocation.from_relay_power(p_r, params.p_tot)
     kept_ec = effective_capacity(mode, samples, params, alloc, keep)
     if keep == "B":
@@ -407,13 +434,10 @@ def pareto_weighted(
     """Trace the capacity frontier by sweeping the priority weight."""
     if len(w_grid) == 0:
         raise ValueError("w_grid must not be empty")
-    solver = solve_exact if method is SolveMethod.EXACT else solve_approx
-    points = []
     for w in w_grid:
         if not 0.0 <= w <= 1.0:
             raise ValueError(f"weights must lie in [0, 1], got {w}")
-        report = solver(mode, samples, params.with_(w=w))
-        points.append(report.ec)
+    points = [report.ec for report in _solve_weights(mode, samples, params, list(w_grid), method)]
     mask = _dominance_mask(points, DOMINANCE_TOL)
     return ParetoFrontier(
         points=tuple(p for p, keep in zip(points, mask) if keep),
@@ -422,16 +446,11 @@ def pareto_weighted(
     )
 
 
-def _crossing(
-    f: Callable[[float], float],
-    x_bad: float,
-    f_bad: float,
-    x_good: float,
-    f_good: float,
-    tol: float,
-) -> float:
+def _crossing(x_bad: float, f_bad: float, x_good: float, f_good: float, tol: float):
     """Feasible end of a bracket no wider than ``tol`` around the root of a
-    monotone f, from x_bad (f < 0) and x_good (f >= 0) and their values.
+    monotone f, from x_bad (f < 0) and x_good (f >= 0) and their values; a
+    generator like :func:`_line_search`, yielding each probe x and taking
+    f(x) back.
 
     Illinois regula falsi: probes at the secant root, held tol/2 inside
     the bracket so that a probe next to the root closes it from the far
@@ -441,7 +460,7 @@ def _crossing(
     while abs(x_good - x_bad) > tol:
         h = 0.5 * tol / abs(x_good - x_bad)
         x = x_good + min(max(f_good / (f_good - f_bad), h), 1.0 - h) * (x_bad - x_good)
-        fx = f(x)
+        fx = yield x
         if fx >= 0.0:
             if last > 0:
                 f_bad *= 0.5
@@ -464,55 +483,54 @@ def pareto_epsilon_constraint(
 
     Node B's capacity is single-peaked in relay power, so each feasible
     floor cuts out one interval; its ends are located by :func:`_crossing`
-    from the peak outwards.  Node A's capacity is single-peaked too, so its
-    maximum inside is its peak, searched once per call, clipped into the
-    interval.  Floors above the attainable maximum are skipped and reported.
+    from the peak outwards, every floor's crossings in lockstep.  Node A's
+    capacity is single-peaked too, so its maximum inside is its peak,
+    searched once per call, clipped into the interval.  Floors above the
+    attainable maximum are skipped and reported.
     """
     if len(mu_grid) == 0:
         raise ValueError("mu_grid must not be empty")
     if not all(math.isfinite(mu) for mu in mu_grid):
         raise ValueError(f"floors must be finite, got {tuple(mu_grid)}")
     tol = line_search_tolerance(params)
-    r_ea = node_capacity_fn(mode, samples, params, "A")
-    r_eb = node_capacity_fn(mode, samples, params, "B")
+    eb_at, _ = _kernel(mode, samples, params, ("B",))
 
     x_peak, eb_peak = maximize_unimodal(
-        r_eb, 0.0, params.p_tot, tol,
+        lambda x: eb_at([x])[0][0], 0.0, params.p_tot, tol,
         x0=warm_start_relay_power(mode, samples, params.with_(w=0.0)),
     )
-    ends = ((0.0, r_eb(0.0)), (params.p_tot, r_eb(params.p_tot)))
+    ends = [(x, eb) for x, [eb] in zip((0.0, params.p_tot), eb_at([0.0, params.p_tot]))]
+    feasible_mu = [float(mu) for mu in mu_grid if mu <= eb_peak]
+    # One crossing per floor and end below it, run side by side.
+    cuts = [(mu, x_end, eb_end) for mu in feasible_mu for x_end, eb_end in ends if eb_end < mu]
+    found = _lockstep(
+        [_crossing(x_end, eb_end - mu, x_peak, eb_peak - mu, tol) for mu, x_end, eb_end in cuts],
+        lambda rows, xs: [eb - cuts[r][0] for r, [eb] in zip(rows, eb_at(xs))],
+    )
+    crossings = iter(found)
+    del eb_at  # frees node B's pass buffers before the two-node pass below
     x_a = None
-
-    points = []
-    feasible_mu = []
-    infeasible = []
-    for mu in mu_grid:
-        if mu > eb_peak:
-            infeasible.append(float(mu))
-            continue
-        left, right = (
-            x_end if eb_end >= mu else _crossing(
-                lambda x: r_eb(x) - mu, x_end, eb_end - mu, x_peak, eb_peak - mu, tol
-            )
-            for x_end, eb_end in ends
-        )
+    xs = []
+    for mu in feasible_mu:
+        left, right = (x_end if eb_end >= mu else next(crossings) for x_end, eb_end in ends)
         if right - left <= tol:
-            x = x_peak
-        else:
-            if x_a is None:
-                x_a, _ = maximize_unimodal(
-                    r_ea, 0.0, params.p_tot, tol,
-                    x0=warm_start_relay_power(mode, samples, params.with_(w=1.0)),
-                )
-            x = min(max(x_a, left), right)
-        alloc = PowerAllocation.from_relay_power(x, params.p_tot)
-        points.append(ec_point(mode, samples, params, alloc))
-        feasible_mu.append(float(mu))
+            xs.append(x_peak)
+            continue
+        if x_a is None:
+            x_a, _ = maximize_unimodal(
+                node_capacity_fn(mode, samples, params, "A"), 0.0, params.p_tot, tol,
+                x0=warm_start_relay_power(mode, samples, params.with_(w=1.0)),
+            )
+        xs.append(min(max(x_a, left), right))
 
+    points = [
+        EcPoint(r_ea=r_ea, r_eb=r_eb, alloc=PowerAllocation.from_relay_power(x, params.p_tot))
+        for x, (r_ea, r_eb) in zip(xs, _kernel(mode, samples, params, NODES)[0](xs))
+    ]
     mask = _dominance_mask(points, DOMINANCE_TOL)
     return ParetoFrontier(
         points=tuple(p for p, keep in zip(points, mask) if keep),
         method=SolveMethod.EPSILON_CONSTRAINT,
         parameter_grid=tuple(m for m, keep in zip(feasible_mu, mask) if keep),
-        infeasible=tuple(infeasible),
+        infeasible=tuple(float(mu) for mu in mu_grid if mu > eb_peak),
     )

@@ -23,7 +23,7 @@ from relayec import (
     surrogate_objective,
     weighted_objective_exact,
 )
-from relayec.capacity import _BLOCK, node_capacity_fn, weighted_objective_fn
+from relayec.capacity import _BLOCK, _kernel, node_capacity_fn, surrogate_objective_fn, weighted_objective_fn
 
 # frozen independently (bisection on the Gaussian tail at 40 digits)
 QINV = {1e-4: 3.7190164854556805644, 1e-2: 2.3263478740408408034}
@@ -332,6 +332,47 @@ def test_fd_ec_point_memory_stays_in_blocks():
     tracemalloc.start()
     try:
         ec_point(RelayMode.FD, s, p, alloc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+class TestBatchedKernel:
+    """Every row of a batched call is bit for bit what the scalar entry
+    points return.  K = 1024 runs at n = 1 (one pass of 1024 rows) and n =
+    1000 (32 passes), K = 33 at n = 1000 ends on a one-row pass; at 2 _BLOCK
+    + 17 samples a pass holds one row, which K = 2 and 21 already exercise."""
+
+    @pytest.mark.parametrize(
+        "n, k",
+        [(n, k) for n in (1, 1000) for k in (1, 2, 21, 1024)] + [(1000, 33)] + [(2 * _BLOCK + 17, k) for k in (1, 2, 21)],
+    )
+    @pytest.mark.parametrize("mode", list(RelayMode))
+    def test_rows_match_scalar_entry_points(self, n, k, mode):
+        s = reference_samples(n, seed=5, d_a=0.3)
+        p = SystemParams.reference(d_a=0.3, omega=0.05)
+        xs = [float(x) for x in np.linspace(0.0, p.p_tot, k + 2)[1:-1]]
+        allocs = [PowerAllocation.from_relay_power(x, p.p_tot) for x in xs]
+        for nodes in (("A",), ("B",), ("A", "B")):
+            rows = _kernel(mode, s, p, nodes)[0](xs)
+            assert rows == [[effective_capacity(mode, s, p, a, node) for node in nodes] for a in allocs]
+        explicit = _kernel(mode, s, p, ("A", "B"))[0](xs, [a.p_node for a in allocs])
+        assert explicit == [[pt.r_ea, pt.r_eb] for pt in (ec_point(mode, s, p, a) for a in allocs)]
+        ws = [float(w) for w in np.random.default_rng(k).random(k)]
+        taus = _kernel(mode, s, p, ("A", "B"))[1](xs, ws)
+        assert taus == [surrogate_objective_fn(mode, s, p.with_(w=w))(x) for x, w in zip(xs, ws)]
+
+
+def test_batched_memory_stays_in_blocks():
+    # a pass holds at most _BLOCK samples times rows, so 1024 relay powers
+    # at n = 2^15 walk one row at a time
+    p = SystemParams.reference()
+    s = reference_samples(2**15, seed=3)
+    xs = [float(x) for x in np.linspace(1.0, 999.0, 1024)]
+    tracemalloc.start()
+    try:
+        _kernel(RelayMode.FD, s, p, ("A", "B"))[0](xs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

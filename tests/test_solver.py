@@ -12,6 +12,7 @@ from relayec import (
     RelayMode,
     SystemParams,
     apply_threshold_policy,
+    ec_point,
     effective_capacity,
     fbl_rate,
     filter_dominated,
@@ -27,7 +28,9 @@ from relayec import (
     threshold_roots_hd,
     warm_start_relay_power,
 )
-from relayec.solver import SolveMethod, _crossing, line_search_tolerance
+import relayec.solver as solver_module
+from relayec.capacity import weighted_objective_fn
+from relayec.solver import SolveMethod, _crossing, _drive, line_search_tolerance
 
 
 def reference_samples(n=400, seed=7, d_a=0.5):
@@ -85,6 +88,22 @@ class TestMaximizeUnimodal:
         )
         assert iters >= 1 and evals >= iters
         assert len(probes) == evals
+
+    @pytest.mark.parametrize(
+        "lo, hi, tol, x0",
+        [
+            (0.0, 10.0, math.nan, None),
+            (0.0, 10.0, 0.0, None),
+            (0.0, 10.0, -1.0, None),
+            (0.0, math.inf, 1e-8, None),
+            (math.nan, 10.0, 1e-8, None),
+            (0.0, 10.0, 1e-8, math.nan),
+            (0.0, 10.0, 1e-8, -math.inf),
+        ],
+    )
+    def test_rejects_nonfinite_inputs_and_nonpositive_tol(self, lo, hi, tol, x0):
+        with pytest.raises(ValueError):
+            maximize_unimodal(lambda x: -((x - 3.0) ** 2), lo, hi, tol, x0=x0)
 
     def test_bad_bracket(self):
         with pytest.raises(ValueError):
@@ -158,6 +177,13 @@ class TestSolveExact:
             for om in (0.01, 0.05, 0.10)
         ]
         assert sums[0] > sums[1] > sums[2]
+
+    @pytest.mark.parametrize("solver", [solve_exact, solve_approx])
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_start_point_rejected(self, solver, x0):
+        s = reference_samples(50)
+        with pytest.raises(ValueError):
+            solver(RelayMode.FD, s, SystemParams.reference(), x0=x0)
 
 
 class TestSolveApprox:
@@ -286,6 +312,74 @@ class TestParetoWeighted:
             pareto_weighted(RelayMode.HD, s, SystemParams.reference(), ())
 
 
+class TestLockstep:
+    # (iterations, objective_evals, p_r) of each solve, as the one-solve-at-a-
+    # time golden section returned them: lockstep changes no probe sequence
+    REPORTS = {
+        ("HD", "solve_exact", None): (25, 31, 578.033347635145),
+        ("HD", "solve_exact", 700.0): (29, 35, 578.033249651598),
+        ("HD", "solve_approx", None): (27, 30, 678.2981010266556),
+        ("HD", "solve_approx", 700.0): (25, 31, 678.2981950217529),
+        ("FD", "solve_exact", None): (21, 27, 540.2438072015175),
+        ("FD", "solve_exact", 700.0): (31, 37, 540.2435880278667),
+        ("FD", "solve_approx", None): (27, 30, 743.5235934723071),
+        ("FD", "solve_approx", 700.0): (23, 29, 743.5236143068514),
+    }
+
+    @pytest.mark.parametrize("key", sorted(REPORTS, key=str))
+    def test_single_solve_reports_unchanged(self, key):
+        mode, name, x0 = key
+        s = reference_samples(400, d_a=0.3)
+        report = getattr(solver_module, name)(RelayMode[mode], s, SystemParams.reference(d_a=0.3), x0=x0)
+        assert (report.iterations, report.objective_evals, report.alloc.p_r) == self.REPORTS[key]
+
+    @pytest.mark.parametrize("x0", [None, 300.0])
+    def test_degenerate_approx_span_probed_once(self, x0):
+        s = ChannelSamples(h_a=np.array([2.0, 3.0]), h_b=np.array([3.0, 2.0]))
+        report = solve_approx(RelayMode.FD, s, SystemParams.reference(), x0=x0)
+        assert (report.iterations, report.objective_evals, report.alloc.p_r) == (1, 1, 415.4093492798492)
+
+    @pytest.mark.parametrize("method", [SolveMethod.EXACT, SolveMethod.APPROXIMATE])
+    def test_weighted_trace_matches_single_solves(self, method):
+        s = reference_samples(300, d_a=0.3)
+        p = SystemParams.reference(d_a=0.3, omega=0.05)
+        solver = solve_exact if method is SolveMethod.EXACT else solve_approx
+        ws = tuple(float(w) for w in np.linspace(0.0, 1.0, 9))
+        want = {w: solver(RelayMode.FD, s, p.with_(w=w)).ec for w in ws}
+        shuffled = tuple(np.random.default_rng(3).permutation(ws))
+        kept = None
+        for grid in (ws, shuffled, ws[::-1] + ws):
+            front = pareto_weighted(RelayMode.FD, s, p, grid, method=method)
+            assert all(point == want[w] for w, point in zip(front.parameter_grid, front.points))
+            assert kept is None or set(front.parameter_grid) == kept
+            kept = set(front.parameter_grid)
+        assert len(kept) >= 5
+
+    def test_valley_fallback_in_batch_matches_scalar_fallback(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "_has_interior_valley", lambda probes: True)
+        s = reference_samples(200, d_a=0.3)
+        p = SystemParams.reference(d_a=0.3, omega=0.05)
+        tol = line_search_tolerance(p)
+        ws = (0.2, 0.5, 0.8)
+        front = pareto_weighted(RelayMode.FD, s, p, ws, method=SolveMethod.EXACT)
+        assert front.parameter_grid == ws
+        for w, point in zip(ws, front.points):
+            # the fallback written out on the scalar closures: search, grid scan, refine
+            objective = weighted_objective_fn(RelayMode.FD, s, p.with_(w=w))
+            f = lambda x: -objective(x)
+            x0 = warm_start_relay_power(RelayMode.FD, s, p.with_(w=w))
+            _, _, iters, evals, _ = maximize_unimodal(f, 0.0, p.p_tot, tol, x0=x0, grad_tol=0.1, full_output=True)
+            grid = np.linspace(0.0, p.p_tot, 1024)
+            k = int(np.argmax([f(g) for g in grid]))
+            x, _, r_iters, r_evals, _ = maximize_unimodal(
+                f, grid[max(k - 1, 0)], grid[min(k + 1, 1023)], tol, grad_tol=0.1, full_output=True
+            )
+            report = solve_exact(RelayMode.FD, s, p.with_(w=w))
+            assert report.alloc.p_r == x
+            assert (report.iterations, report.objective_evals) == (iters + r_iters + 1, evals + 1024 + r_evals)
+            assert report.ec == ec_point(RelayMode.FD, s, p, report.alloc) == point
+
+
 class TestParetoEpsilonConstraint:
     def test_zero_floor_is_unconstrained_optimum(self):
         s = reference_samples(400, d_a=0.3)
@@ -355,14 +449,14 @@ class TestCrossing:
         root = x_good + math.copysign(0.5 ** 0.5, x_bad - x_good)
         f = lambda x: 0.5 - (x - x_good) ** 2
         calls = []
-        x = _crossing(lambda x: calls.append(x) or f(x), x_bad, f(x_bad), x_good, f(x_good), self.TOL)
+        x = _drive(_crossing(x_bad, f(x_bad), x_good, f(x_good), self.TOL), lambda x: calls.append(x) or f(x))
         assert f(x) >= 0.0
         assert abs(x - root) <= self.TOL
         assert len(calls) < math.ceil(math.log2(abs(x_good - x_bad) / self.TOL))
 
     def test_feasible_end_at_root(self):
         f = lambda x: x - 1.0
-        x = _crossing(f, 0.0, -1.0, 1.0, 0.0, self.TOL)
+        x = _drive(_crossing(0.0, -1.0, 1.0, 0.0, self.TOL), f)
         assert 1.0 - self.TOL <= x <= 1.0
 
 
