@@ -14,25 +14,33 @@ be negative in deep fades; they are kept as-is because the exponential
 handles them exactly and truncation would bias the estimate.
 
 Every estimate runs through one blocked kernel over K >= 1 relay powers.
-Per block of samples and chunk of relay powers it computes the
-node-symmetric SINR pieces once, then every requested node's SINR, rate and
-exponent z = -r c theta in place in one buffer, and keeps each row's block
-maximum z_b and shifted sum s_b = sum exp(z - z_b).  The blocks combine by
+Per block of samples and chunk of relay powers it computes every requested
+node's SINR, rate and exponent z = -r c theta in place in one buffer, with
+a node axis for two nodes, and keeps each row's block maximum z_b and
+shifted sum s_b = sum exp(z - z_b) in arrays.  The blocks combine by
 ln mean exp(z) = Z + ln(sum_b s_b exp(z_b - Z) / n), Z = max_b z_b, so no
 block can overflow or underflow the total (Blanchard, Higham & Higham 2021,
 "Accurately computing the log-sum-exp and softmax functions").
 
+When the samples fit one block (n <= ``_BLOCK``), every pass reuses it, so
+H_A H_B and H_A + H_B are computed once; for two nodes they, the own gains
+and the rate's per-node scale are laid out as full (nodes, n) rows, and a
+one-row pass finishes both nodes' SINRs and rates in ufunc calls that
+broadcast nothing.  Above one block these would be n-sized arrays held per
+kernel, so each pass forms the products in its block buffer instead, and
+memory stays a few blocks.
+
 The scalar functions and ``*_fn`` closures are its one-row case; the
 solvers evaluate many line-search probes per call.  Neither a node's
 capacity nor a row's depends on what else is evaluated with it, so every
-entry point agrees bit for bit, and memory stays a few block buffers.
+entry point agrees bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,9 +51,8 @@ from .link import (
     PowerAllocation,
     RelayMode,
     SystemParams,
+    _sinr,
     _sinr_coefficients,
-    _sinr_node,
-    _sinr_shared,
     sinr_fd,
 )
 
@@ -80,49 +87,36 @@ def exponent_blocklength(params: SystemParams, mode: RelayMode) -> float:
     return float(params.m) if mode is RelayMode.FD else params.m / 2.0
 
 
-@dataclass(frozen=True)
-class _NodeTerms:
+class _NodeTerms(NamedTuple):
     """Loop-invariant pieces of one node's estimator."""
 
     hr: np.ndarray
     qscale: float
-    bonus: float
     c_theta: float
     m_theta: float
     log1m_eps: float
     log_eps: float
 
+    def capacity(self, peak: float, total: float, n: int) -> float:
+        """-ln( mean[exp(-r c theta)] (1 - eps) + eps ) / (m theta), by
+        logaddexp, from the mean's ln(total / n) + peak."""
+        a, b = self.log1m_eps + math.log(total / n) + peak, self.log_eps
+        return -(max(a, b) + math.log1p(math.exp(-abs(a - b)))) / self.m_theta
 
-def _node_terms(
-    mode: RelayMode, samples: ChannelSamples, params: SystemParams, node: str
-) -> _NodeTerms:
+
+def _node_terms(samples: ChannelSamples, params: SystemParams, node: str, m_cu: float, c: float) -> _NodeTerms:
+    """One node's terms at rate blocklength ``m_cu`` and exponent blocklength ``c``."""
     if node not in NODES:
         raise ValueError(f"node must be 'A' or 'B', got {node!r}")
-    m_cu = rate_blocklength(params, mode)
-    eps = params.eps_for(node)
-    theta = params.theta_for(node)
-    return _NodeTerms(
-        hr=samples.h_a if node == "A" else samples.h_b,
-        qscale=rate_dispersion_scale(m_cu, eps),
-        bonus=rate_blocklength_bonus(m_cu),
-        c_theta=exponent_blocklength(params, mode) * theta,
-        m_theta=params.m * theta,
-        log1m_eps=math.log1p(-eps),
-        log_eps=math.log(eps),
-    )
+    eps, theta = params.eps_for(node), params.theta_for(node)
+    hr = samples.h_a if node == "A" else samples.h_b
+    return _NodeTerms(hr, rate_dispersion_scale(m_cu, eps), c * theta, params.m * theta, math.log1p(-eps), math.log(eps))
 
 
-def _row_chunk(rows: list, r0: int, k: int):
-    """Rows r0 .. r0 + k of per-row tuples as one column per field; one row
-    stays plain floats, which keeps its pass on numpy's scalar paths."""
-    return rows[r0] if k == 1 else np.array(rows[r0 : r0 + k]).T[:, :, None]
-
-
-def _per_node(values: list) -> dict:
-    """Per-node constants along the node axis, keyed by the rank of the
-    arrays they scale; one node's stays a plain float."""
-    col = np.array(values).reshape(-1, 1, 1) if len(values) > 1 else values[0]
-    return {2: col[:, 0] if len(values) > 1 else col, 3: col}
+def _row_chunk(rows: list, at):
+    """Rows ``at`` (a slice) of per-row tuples as one column per field; one
+    row (an index) stays plain floats, which keep its pass on scalar paths."""
+    return rows[at] if isinstance(at, int) else np.array(rows[at]).T[:, :, None]
 
 
 def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, nodes):
@@ -133,85 +127,109 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
     at the row's weight, each bit for bit what a one-row call returns.
 
     A pass covers k rows and a block of samples in one (nodes, k, samples)
-    array (no k axis for one row) of a buffer sized at the largest chunk
-    served; k times the block's samples stays within ``_BLOCK`` for any n, K."""
-    terms = [_node_terms(mode, samples, params, node) for node in nodes]
-    qscale, neg_c_theta = _per_node([t.qscale for t in terms]), _per_node([-t.c_theta for t in terms])
-    bonus = terms[0].bonus  # the blocklength is the same at both nodes
-    omega = params.omega_for(mode)
-    n = len(samples)
+    array, with no node axis for one node and no k axis for one row, of a
+    buffer sized at the largest chunk served; k times the block's samples
+    stays within ``_BLOCK`` for any n, K."""
+    m_cu, c = rate_blocklength(params, mode), exponent_blocklength(params, mode)
+    bonus = rate_blocklength_bonus(m_cu)
+    terms = [_node_terms(samples, params, node, m_cu, c) for node in nodes]
+    omega, p_tot = params.omega_for(mode), params.p_tot
+    n, lanes = len(samples), len(terms)
     width = min(n, _BLOCK)
     rows = _BLOCK // width
-    blocks = [
-        (samples.h_a[lo : lo + width], samples.h_b[lo : lo + width], [t.hr[lo : lo + width] for t in terms])
-        for lo in range(0, n, width)
-    ]
-    slots = 2 + len(terms)  # num, common, one SINR per node, then one scratch per node
-    bufs = np.empty((slots + len(terms), 1, width))
-    cached = {}  # rows per pass -> per block: gains and buffer views
+    h_a, h_b = samples.h_a, samples.h_b
+    hoisted = n <= _BLOCK  # one block, reused by every pass (module docstring)
+    neg_c_theta, qscale = [-t.c_theta for t in terms], [t.qscale for t in terms]
+    if lanes == 1:
+        neg_c_theta, qscale = neg_c_theta[0], qscale[0]
+    else:  # per-node columns
+        neg_c_theta, qscale = np.array(neg_c_theta)[:, None], np.array(qscale)[:, None]
+    if not hoisted:  # per block: the gains, whose product and sum each pass forms
+        blocks = [
+            (h_a[lo : lo + width], h_b[lo : lo + width], [t.hr[lo : lo + width] for t in terms])
+            for lo in range(0, n, width)
+        ]
+    elif lanes == 1:
+        blocks = [(h_a * h_b, h_a + h_b, terms[0].hr)]
+    else:  # full (nodes, n) rows, qscale's too
+        hh, hs, own, qscale_rows = np.empty((4, lanes, width))
+        np.multiply(h_a, h_b, hh)
+        np.add(h_a, h_b, hs)
+        for row, t in zip(own, terms):
+            row[...] = t.hr
+        qscale_rows[...], qscale = qscale, qscale_rows
+        blocks = [(hh, hs, own)]
+    # SINRs and scratch, one row each per node, then H_A H_B and H_A + H_B of a block
+    bufs = np.empty((2 * lanes + (0 if hoisted else 2), 1, width))
+    node_axis = slice(None) if lanes > 1 else 0
+    cached = {}  # rows per pass -> per block: gains, buffer views, per-node constants
 
     def views(k: int) -> list:
         if k not in cached:
             buf = bufs[:, :k] if k > 1 else bufs[:, 0]
-            cached[k] = [
-                (h_a, h_b, *buf[:2, ..., : len(h_a)], list(zip(h_rs, buf[2:slots, ..., : len(h_a)])),
-                 buf[2:slots, ..., : len(h_a)], buf[slots:, ..., : len(h_a)])
-                for h_a, h_b, h_rs in blocks
-            ]
+            # only one block serves k > 1 rows; its node-axis arrays get a k axis
+            spread = (lambda a: a[:, None]) if k > 1 and lanes > 1 else (lambda a: a)
+            cached[k] = []
+            for g1, g2, own in blocks:
+                sub = buf[..., : g1.shape[-1]]
+                gamma, tmp = (sub[:lanes], sub[lanes : 2 * lanes]) if lanes > 1 else (sub[0], sub[1])
+                products = None if hoisted else (sub[-2], sub[-1])
+                # the SINRs: in one step on the node axis, or one step per node
+                per_node = (gamma, tmp) if lanes > 1 else ([gamma], [tmp])
+                steps = [(spread(own), gamma, tmp)] if hoisted else list(zip(own, *per_node))
+                consts = spread(qscale), spread(neg_c_theta)
+                cached[k].append((spread(g1), spread(g2), products, steps, gamma, tmp, *consts))
         return cached[k]
 
     def rates(p_r, p):
-        """Per pass: its first row, its row count and its rate array."""
+        """Per pass: its block, its rows (an index, or a slice when k > 1),
+        its rate array and the per-node exponent scale -c theta shaped to it."""
         nonlocal bufs
-        p = [(params.p_tot - x) / 2.0 for x in p_r] if p is None else p
+        p = [(p_tot - x) / 2.0 for x in p_r] if p is None else p
         coef = [_sinr_coefficients(x, y, omega) for x, y in zip(p_r, p)]
         if bufs.shape[1] < min(len(p_r), rows):
             bufs = np.empty((len(bufs), min(len(p_r), rows), width))
             cached.clear()
         for r0 in range(0, len(p_r), rows):
             k = min(rows, len(p_r) - r0)
-            chunk = _row_chunk(coef, r0, k)
-            for h_a, h_b, num, common, outs, gamma, tmp in views(k):
-                _, _, relay = _sinr_shared(chunk, h_a, h_b, num, common)
-                for h_r, out in outs:
-                    _sinr_node(num, common, relay, h_r, out)
-                yield r0, k, _rate_into(gamma, qscale[gamma.ndim], bonus, tmp)
+            at = r0 if k == 1 else slice(r0, r0 + k)
+            chunk = _row_chunk(coef, at)
+            for b, (hh, hs, products, steps, gamma, tmp, q, scale) in enumerate(views(k)):
+                if products:
+                    hh, hs = np.multiply(hh, hs, products[0]), np.add(hh, hs, products[1])
+                for h_r, out, scratch in steps:
+                    _sinr(chunk, hh, hs, h_r, out, scratch)
+                yield b, at, _rate_into(gamma, q, bonus, tmp), scale
 
     def capacities(p_r, p=None) -> list:
-        kept = [[[] for _ in terms] for _ in p_r]  # per row and node: (z_b, s_b) per block
-        for r0, k, z in rates(p_r, p):
-            z *= neg_c_theta[z.ndim]
-            z_max = np.maximum.reduce(z, axis=-1, keepdims=True)
-            z -= z_max
-            sums = np.add.reduce(np.exp(z, out=z), axis=-1)
-            pairs = zip(z_max.reshape(len(terms), k).T.tolist(), sums.reshape(len(terms), k).T.tolist())
-            for row, (z_bs, s_bs) in zip(kept[r0:], pairs):
-                for node_blocks, z_b, s_b in zip(row, z_bs, s_bs):
-                    node_blocks.append((z_b, s_b))
-        out = []
-        for row in kept:
-            out.append([])
-            for t, node_blocks in zip(terms, row):
-                top = max(z_b for z_b, _ in node_blocks)
-                total = math.fsum(s * math.exp(z_b - top) for z_b, s in node_blocks)
-                # -ln( mean[exp(-r c theta)] (1 - eps) + eps ) / (m theta), by logaddexp
-                a, b = t.log1m_eps + math.log(total / n) + top, t.log_eps
-                out[-1].append(-(max(a, b) + math.log1p(math.exp(-abs(a - b)))) / t.m_theta)
-        return out
+        kept = np.empty((2, len(blocks), lanes, len(p_r)))  # per block, node and row: z_b and s_b
+        for b, at, z, neg_c_theta in rates(p_r, p):
+            np.multiply(z, neg_c_theta, z)
+            z_max = np.maximum.reduce(z, -1, None, kept[0, b, node_axis, at, ...])
+            np.exp(np.subtract(z, z_max[..., None], z), z)
+            np.add.reduce(z, -1, None, kept[1, b, node_axis, at, ...])
+        top, sums = kept[:, 0].transpose(0, 2, 1).tolist()  # per row and node
+        if len(blocks) > 1:  # Z = max_b z_b and sum_b s_b exp(z_b - Z)
+            for r, i in np.ndindex(len(p_r), lanes):
+                z_bs, s_bs = kept[:, :, i, r].tolist()
+                top[r][i] = z_max = max(z_bs)
+                sums[r][i] = math.fsum([s * math.exp(z_b - z_max) for z_b, s in zip(z_bs, s_bs)])
+        return [
+            [t.capacity(peak, total, n) for t, peak, total in zip(terms, z_row, s_row)]
+            for z_row, s_row in zip(top, sums)
+        ]
 
     def taus(p_r, w, p=None) -> list:
-        low = []
+        low = np.empty((len(blocks), len(p_r)))  # per block and row: the minimum
         weights = [(x, 1.0 - x) for x in w]
-        for r0, k, (r_a, r_b) in rates(p_r, p):
-            w_a, w_b = _row_chunk(weights, r0, k)
-            r_a *= w_a
-            r_b *= w_b
-            block_low = np.minimum.reduce(np.add(r_a, r_b, out=r_a), axis=-1).reshape(k).tolist()
-            # a chunk's first block opens its rows, later blocks lower them
-            low[r0:] = map(min, low[r0:], block_low) if r0 < len(low) else block_low
+        for b, at, (r_a, r_b), _ in rates(p_r, p):
+            w_a, w_b = _row_chunk(weights, at)
+            np.multiply(r_a, w_a, r_a)
+            np.multiply(r_b, w_b, r_b)
+            np.minimum.reduce(np.add(r_a, r_b, r_a), -1, None, low[b, at, ...])
         # max of -0.5 (w r_a + (1-w) r_b); the half scale is a power of two,
         # so scaling the minimum gives the exact same value.
-        return [-0.5 * x for x in low]
+        return (-0.5 * (np.minimum.reduce(low, 0) if len(blocks) > 1 else low[0])).tolist()
 
     return capacities, taus
 

@@ -17,13 +17,14 @@ value, so clamping here would bias it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfc, ndtri
 
-LOG2E = np.log2(np.e)
+LOG2E = float(np.log2(np.e))
 
 
 def q_tail(x):
@@ -42,16 +43,18 @@ def inverse_q(p):
     Accepts scalars or arrays; every entry must lie strictly inside (0, 1).
     Odd symmetry holds: inverse_q(1 - p) == -inverse_q(p).
     """
-    arr = np.asarray(p, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    scalar = isinstance(p, float)  # skips the array round trip, ~80x ndtri's cost
+    arr = p if scalar else np.asarray(p, dtype=float)
+    inside = 0.0 < arr < 1.0 if scalar else np.all((arr > 0.0) & (arr < 1.0))  # False for NaN
+    if not inside:
         raise ValueError(f"inverse_q requires 0 < p < 1, got {p!r}")
     out = -ndtri(arr)
-    return float(out) if np.ndim(out) == 0 else out
+    return float(out) if scalar or out.ndim == 0 else out
 
 
 def rate_dispersion_scale(m_cu: float, eps: float) -> float:
     """Coefficient of the dispersion penalty: Qinv(eps) log2(e) / sqrt(m_cu)."""
-    return inverse_q(eps) * LOG2E / np.sqrt(m_cu)
+    return inverse_q(eps) * LOG2E / math.sqrt(m_cu)
 
 
 def rate_blocklength_bonus(m_cu: float) -> float:
@@ -68,9 +71,9 @@ def _rate_into(gamma: np.ndarray, qscale: float, bonus: float, tmp: np.ndarray) 
     this thousands of times per solve.
     """
     gamma += 1.0
-    np.multiply(gamma, gamma, out=tmp)
-    dispersion = np.sqrt(np.subtract(1.0, np.reciprocal(tmp, out=tmp), out=tmp), out=tmp)
-    np.subtract(np.log2(gamma, out=gamma), np.multiply(dispersion, qscale, out=tmp), out=gamma)
+    np.multiply(gamma, gamma, tmp)
+    dispersion = np.sqrt(np.subtract(1.0, np.reciprocal(tmp, tmp), tmp), tmp)
+    np.subtract(np.log2(gamma, gamma), np.multiply(dispersion, qscale, tmp), gamma)
     gamma += bonus
     return gamma
 
@@ -88,13 +91,13 @@ def fbl_rate(gamma, m_cu, eps):
         Rate(s), same shape as ``gamma``.  May be negative (see module
         docstring).
     """
-    if m_cu < 1:
-        raise ValueError(f"blocklength must be >= 1, got {m_cu}")
+    if not 1 <= m_cu < math.inf:
+        raise ValueError(f"blocklength must be finite and >= 1, got {m_cu}")
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"error probability must lie in (0, 0.5], got {eps}")
     g = np.array(gamma, dtype=float)
-    if np.any(g < 0.0):
-        raise ValueError("SNR must be non-negative")
+    if not np.all(g >= 0.0):
+        raise ValueError("SNR must be non-negative, not NaN")
     qscale, bonus = rate_dispersion_scale(m_cu, eps), rate_blocklength_bonus(m_cu)
     r = _rate_into(g, qscale, bonus, np.empty_like(g))
     return float(r) if r.ndim == 0 else r

@@ -157,35 +157,28 @@ def _oriented(h_a, h_b, node: str):
 
 def _sinr_coefficients(p_r: float, p: float, omega: float) -> tuple:
     """Power factors (p p_r, p leak, leak_r leak, relay) of the FD SINR at one
-    allocation, with leak = p omega + 1 and leak_r = p_r omega + 1.  The SINR
-    at the node with own gain h_r is num / (relay h_r + common), with num =
+    allocation, with leak = p omega + 1 and leak_r = p_r omega + 1: the SINR
+    at the node with own gain h_r is num / (common + relay h_r), with num =
     p p_r H_A H_B, common = p leak (H_A + H_B) + leak_r leak and relay = p_r
-    leak_r; every factor holding omega is exactly 1 at omega = 0."""
+    leak_r.  Every factor holding omega is exactly 1 at omega = 0."""
     leak_r = p_r * omega + 1.0
     leak = p * omega + 1.0
     return p * p_r, p * leak, leak_r * leak, p_r * leak_r
 
 
-def _sinr_shared(coef, h_a, h_b, num=None, common=None):
-    """Node-symmetric pieces num and common of the FD SINR, bit-symmetric in
-    the gains, from the factors of :func:`_sinr_coefficients` (floats, or one
-    column per allocation), written into ``num`` and ``common`` when given."""
+def _sinr(coef, hh, hs, h_r, out=None, tmp=None):
+    """The FD SINR from the factors of :func:`_sinr_coefficients` (floats,
+    or one column per allocation), the gain product hh = H_A H_B, the gain
+    sum hs = H_A + H_B and the own gain h_r; in place in ``out``, with the
+    scratch ``tmp`` of the same shape, when given.  Bit-symmetric in the
+    gains, and the same bits either way."""
     pp, p_leak, leaks, relay = coef
-    # Without buffers, plain operators keep scalar calls cheap (1.0 * makes
-    # integer gains float, exactly); the later steps work in place either way.
-    num = 1.0 * h_a * h_b if num is None else np.multiply(h_a, h_b, out=num)
-    common = 1.0 * h_a + h_b if common is None else np.add(h_a, h_b, out=common)
-    num *= pp
-    common *= p_leak
-    common += leaks
-    return num, common, relay
-
-
-def _sinr_node(num, common, relay, h_r, out=None):
-    """One node's SINR from the shared pieces, written into ``out`` when given."""
-    den = h_r * relay if out is None else np.multiply(h_r, relay, out=out)
-    den += common
-    return num / den if out is None else np.divide(num, den, out=out)
+    if out is None:  # plain operators keep scalar calls cheap
+        return hh * pp / (hs * p_leak + leaks + h_r * relay)
+    den = np.multiply(hs, p_leak, out)
+    den += leaks
+    den += np.multiply(h_r, relay, tmp)
+    return np.divide(np.multiply(hh, pp, tmp), den, out)
 
 
 def snr_hd(alloc: PowerAllocation, h_a, h_b, node: str = "A"):
@@ -207,7 +200,8 @@ def sinr_fd(alloc: PowerAllocation, omega: float, h_a, h_b, node: str = "A"):
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must lie in [0, 1], got {omega}")
     hr, _ = _oriented(h_a, h_b, node)
-    return _sinr_node(*_sinr_shared(_sinr_coefficients(alloc.p_r, alloc.p_node, omega), h_a, h_b), hr)
+    # 1.0 * makes integer gains float, exactly
+    return _sinr(_sinr_coefficients(alloc.p_r, alloc.p_node, omega), 1.0 * h_a * h_b, 1.0 * h_a + h_b, hr)
 
 
 def _check_gains(h_a: float, h_b: float) -> None:
@@ -226,12 +220,10 @@ def optimal_relay_power_hd(h_a: float, h_b: float, p_tot: float, node: str = "A"
         K = (H_A + H_B) p_tot + 2,
 
     with H_r the receiving node's own gain.  The result always lies
-    strictly inside (0, p_tot).
+    strictly inside (0, p_tot).  It is :func:`optimal_relay_power_fd` at
+    omega = 0 bit for bit, whose terms are these scaled by powers of two.
     """
-    _check_gains(h_a, h_b)
-    hr, _ = _oriented(h_a, h_b, node)
-    k = (h_a + h_b) * p_tot + 2.0
-    return k * p_tot / (k + math.sqrt(2.0 * k * (hr * p_tot + 1.0)))
+    return optimal_relay_power_fd(h_a, h_b, p_tot, 0.0, node)
 
 
 def optimal_relay_power_fd(

@@ -161,19 +161,16 @@ def _lockstep(searches: Sequence, evaluate: Callable[[list, list], list]) -> lis
     round hands every unfinished search's probe to one ``evaluate(indices,
     xs)`` call, which returns their values in order, and sends them back."""
     results = [None] * len(searches)
-    values = [None] * len(searches)
-    rows = range(len(searches))
+    rows, values = range(len(searches)), [None] * len(searches)  # values aligned with rows
     while rows:
         live, xs = [], []
-        for i in rows:
+        for i, value in zip(rows, values):
             try:
-                xs.append(searches[i].send(values[i]))
+                xs.append(searches[i].send(value))
                 live.append(i)
             except StopIteration as stop:
                 results[i] = stop.value
-        for i, value in zip(live, evaluate(live, xs) if live else ()):
-            values[i] = value
-        rows = live
+        rows, values = live, evaluate(live, xs) if live else []
     return results
 
 
@@ -219,19 +216,16 @@ def maximize_unimodal(
 
 def _has_interior_valley(probes: Sequence[tuple[float, float]]) -> bool:
     """True when the probe set shows a fall-then-rise pattern, which a
-    single-peaked function cannot produce."""
+    single-peaked function cannot produce.  Repeated abscissas keep their
+    first value in sorted order; steps within 1e-12 of the largest value
+    count as flat."""
     pts = sorted(probes)
-    xs = np.array([p[0] for p in pts])
-    fs = np.array([p[1] for p in pts])
-    keep = np.concatenate(([True], np.diff(xs) > 0))
-    fs = fs[keep]
-    if fs.size < 3:
+    fs = [f for (x_prev, _), (x, f) in zip([(-math.inf, 0.0)] + pts, pts) if x > x_prev]
+    if len(fs) < 3:
         return False
-    d = np.diff(fs)
-    scale = float(np.max(np.abs(fs))) or 1.0
-    signs = np.sign(d[np.abs(d) > 1e-12 * scale])
-    falls_then_rises = np.flatnonzero((signs[:-1] < 0) & (signs[1:] > 0))
-    return falls_then_rises.size > 0
+    cut = 1e-12 * (max(map(abs, fs)) or 1.0)
+    rises = [b > a for a, b in zip(fs, fs[1:]) if abs(b - a) > cut]
+    return any(after and not before for before, after in zip(rises, rises[1:]))
 
 
 def warm_start_relay_power(
@@ -239,17 +233,14 @@ def warm_start_relay_power(
 ) -> float:
     """Priority-weighted blend of the closed-form single-node optima,
     evaluated at the sample-mean gains."""
-    p_a, p_b = _single_node_optima(mode, samples, params)
+    p_a, p_b = _single_node_optima(mode, samples.mean_gains(), params)
     return params.w * p_a + (1.0 - params.w) * p_b
 
 
-def _single_node_optima(
-    mode: RelayMode, samples: ChannelSamples, params: SystemParams
-) -> tuple[float, float]:
+def _single_node_optima(mode: RelayMode, gains: tuple[float, float], params: SystemParams) -> tuple[float, float]:
     # The FD closed form at omega = 0 is the HD one bit for bit.
-    ha, hb = samples.mean_gains()
     omega = params.omega_for(mode)
-    return tuple(optimal_relay_power_fd(ha, hb, params.p_tot, omega, node) for node in NODES)
+    return tuple(optimal_relay_power_fd(*gains, params.p_tot, omega, node) for node in NODES)
 
 
 def line_search_tolerance(params: SystemParams) -> float:
@@ -274,7 +265,8 @@ def _solve_weights(
     t0 = time.perf_counter()
     tol = line_search_tolerance(params)
     _check_search(0.0, params.p_tot, tol, x0)
-    p_a, p_b = _single_node_optima(mode, samples, params)
+    gains = samples.mean_gains()
+    p_a, p_b = _single_node_optima(mode, gains, params)
     capacities, taus = _kernel(mode, samples, params, NODES)
     evals = [0] * len(weights)
     last = [None] * len(weights)  # capacities at each search's latest probe
@@ -327,7 +319,7 @@ def _solve_weights(
     for res, (r_ea, r_eb), n_evals in zip(results, last, evals):
         alloc = PowerAllocation.from_relay_power(res.x, params.p_tot)
         report = SolveReport(alloc, EcPoint(r_ea, r_eb, alloc), method, None, res.iterations, n_evals, 0.0)
-        reports.append(apply_threshold_policy(report, mode, samples, params) if apply_policy else report)
+        reports.append(_threshold_policy(report, mode, samples, params, gains) if apply_policy else report)
     wall_time = time.perf_counter() - t0
     return [replace(report, wall_time=wall_time) for report in reports]
 
@@ -387,7 +379,14 @@ def apply_threshold_policy(
     degenerate flag set, which keeps sweeps comparable instead of
     transmitting nothing.
     """
-    ha, hb = samples.mean_gains()
+    return _threshold_policy(report, mode, samples, params, samples.mean_gains())
+
+
+def _threshold_policy(
+    report: SolveReport, mode: RelayMode, samples: ChannelSamples, params: SystemParams, gains: tuple[float, float]
+) -> SolveReport:
+    """:func:`apply_threshold_policy` at the given sample-mean gains."""
+    ha, hb = gains
     omega = params.omega_for(mode)
     below_a, below_b = (
         float(sinr_fd(report.alloc, omega, ha, hb, node)) <= params.gamma_t_for(node) for node in NODES

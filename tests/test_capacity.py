@@ -1,9 +1,12 @@
 import csv
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from relayec import (
@@ -377,3 +380,36 @@ def test_batched_memory_stays_in_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@functools.lru_cache(maxsize=None)
+def property_samples(n):
+    return reference_samples(n, seed=17, d_a=0.3)
+
+
+# one hoisted block with several rows per pass, and two blocks walked per pass
+@pytest.mark.parametrize("n", (1, 2, 150, 1000, _BLOCK + 1))
+@settings(max_examples=20)
+@given(
+    mode=st.sampled_from(list(RelayMode)),
+    rows=st.lists(  # per row: relay power, node power, weight
+        st.tuples(st.floats(0.0, 1000.0), st.floats(0.0, 1000.0), st.floats(0.0, 1.0)), min_size=1, max_size=5
+    ),
+    explicit=st.booleans(),
+)
+def test_rows_and_nodes_agree_bit_for_bit(n, mode, rows, explicit):
+    """Each row of a K-row call is the one-row call, and a one-node call is
+    that node's entry of the two-node call, bit for bit."""
+    # every per-node constant differs between the nodes, so a mixed-up node shows
+    p = SystemParams.reference(d_a=0.3, omega=0.05, eps_a=1e-3, eps_b=1e-6, theta_a=2e-3, theta_b=5e-4)
+    s = property_samples(n)
+    xs = [x for x, _, _ in rows]
+    node_p = [y for _, y, _ in rows] if explicit else None
+    ws = [w for _, _, w in rows]
+    one = [None] * len(rows) if node_p is None else [[y] for y in node_p]
+    capacities, taus = _kernel(mode, s, p, ("A", "B"))
+    both = capacities(xs, node_p)
+    assert both == [capacities([x], y)[0] for x, y in zip(xs, one)]
+    assert taus(xs, ws, node_p) == [taus([x], [w], y)[0] for x, w, y in zip(xs, ws, one)]
+    for i, node in enumerate(("A", "B")):
+        assert [row[0] for row in _kernel(mode, s, p, (node,))[0](xs, node_p)] == [row[i] for row in both]

@@ -77,6 +77,12 @@ class TestSampleValidation:
         with pytest.raises(ValueError):
             ChannelSamples(h_a=np.array([1.0, 0.0]), h_b=np.array([1.0, 1.0]))
 
+    def test_rejects_nonfinite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            for h_a, h_b in ((np.array([1.0, bad]), np.ones(2)), (np.ones(2), np.array([bad, 1.0]))):
+                with pytest.raises(ValueError):
+                    ChannelSamples(h_a=h_a, h_b=h_b)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             ChannelSamples(h_a=np.array([]), h_b=np.array([]))
@@ -99,6 +105,12 @@ class TestCsv:
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1.0,2.0\n")
+        with pytest.raises(ValueError):
+            load_csv(path)
+
+    def test_rejects_nan_row(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("h_a,h_b\n1.0,2.0\nnan,2.0\n")
         with pytest.raises(ValueError):
             load_csv(path)
 

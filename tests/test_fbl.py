@@ -61,6 +61,16 @@ class TestInverseQ:
             with pytest.raises(ValueError):
                 inverse_q(bad)
 
+    def test_nan_rejected(self):
+        # NaN fails every comparison, so a check for the bad side lets it through
+        for bad in (math.nan, np.float64("nan"), np.array([0.5, math.nan]), [math.nan]):
+            with pytest.raises(ValueError):
+                inverse_q(bad)
+
+    def test_float_path_matches_array_path(self):
+        for p in np.logspace(-12, math.log10(0.999), 57):
+            assert inverse_q(float(p)) == float(inverse_q(np.array([p]))[0]) == inverse_q(np.array(p))
+
     def test_array_input(self):
         p = np.array([0.5, 1e-4])
         out = inverse_q(p)
@@ -133,6 +143,9 @@ class TestFblRate:
             fbl_rate(1.0, 100, 0.0)
         with pytest.raises(ValueError):
             fbl_rate(-0.5, 100, 1e-4)
+        for gamma, m_cu in ((math.nan, 100), (np.array([1.0, math.nan]), 100), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError):
+                fbl_rate(gamma, m_cu, 1e-4)
 
 
 class TestFblPoint:

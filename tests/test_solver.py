@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relayec import (
     ChannelSamples,
@@ -487,6 +489,36 @@ class TestValleyDetector:
         assert not _has_interior_valley([(0.0, 0.1), (1.0, 0.9), (2.0, 0.5)])
         # duplicate abscissas collapse instead of faking a valley
         assert not _has_interior_valley([(0.0, 0.1), (0.0, 0.1), (1.0, 0.2)])
+        # steps within 1e-12 of the largest |f| count as flat
+        assert _has_interior_valley([(0.0, 1.0), (1.0, 1.0 - 5e-12), (2.0, 1.0)])
+        assert not _has_interior_valley([(0.0, 1.0), (1.0, 1.0 - 5e-13), (2.0, 1.0)])
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from((0.0, 1.0, 2.0, 3.0)) | st.floats(-1e3, 1e3),
+                st.sampled_from((0.0, 1.0, 1.0 + 1e-13, 1.0 + 5e-12, -1.0, 1e-300)) | st.floats(-1e3, 1e3),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_matches_array_oracle(self, probes):
+        """Same decision as the detector written with arrays: sort, keep the
+        first of equal abscissas, drop steps within 1e-12 of the largest
+        |f|, and look for a fall followed by a rise."""
+        from relayec.solver import _has_interior_valley
+
+        pts = sorted(probes)
+        xs, fs = np.array([x for x, _ in pts]), np.array([f for _, f in pts])
+        fs = fs[np.concatenate(([True], np.diff(xs) > 0))]
+        want = False
+        if fs.size >= 3:
+            d = np.diff(fs)
+            signs = np.sign(d[np.abs(d) > 1e-12 * (float(np.max(np.abs(fs))) or 1.0)])
+            want = bool(np.any((signs[:-1] < 0) & (signs[1:] > 0)))
+        assert _has_interior_valley(probes) == want
 
 
 class TestWarmStart:
