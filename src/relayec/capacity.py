@@ -51,8 +51,9 @@ from .link import (
     PowerAllocation,
     RelayMode,
     SystemParams,
-    _sinr,
     _sinr_coefficients,
+    _sinr_node,
+    _sinr_shared,
     sinr_fd,
 )
 
@@ -113,12 +114,6 @@ def _node_terms(samples: ChannelSamples, params: SystemParams, node: str, m_cu: 
     return _NodeTerms(hr, rate_dispersion_scale(m_cu, eps), c * theta, params.m * theta, math.log1p(-eps), math.log(eps))
 
 
-def _row_chunk(rows: list, at):
-    """Rows ``at`` (a slice) of per-row tuples as one column per field; one
-    row (an index) stays plain floats, which keep its pass on scalar paths."""
-    return rows[at] if isinstance(at, int) else np.array(rows[at]).T[:, :, None]
-
-
 def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, nodes):
     """The blocked kernel for ``nodes`` as two closures over K >= 1 relay
     powers p_r with node powers p (by default the budget left after p_r,
@@ -159,8 +154,9 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
             row[...] = t.hr
         qscale_rows[...], qscale = qscale, qscale_rows
         blocks = [(hh, hs, own)]
-    # SINRs and scratch, one row each per node, then H_A H_B and H_A + H_B of a block
-    bufs = np.empty((2 * lanes + (0 if hoisted else 2), 1, width))
+    # num and common, per node when fused, then the SINRs; the rate's scratch reuses the first
+    shared = lanes if hoisted else 1
+    bufs = np.empty((2 * shared + lanes, 1, width))
     node_axis = slice(None) if lanes > 1 else 0
     cached = {}  # rows per pass -> per block: gains, buffer views, per-node constants
 
@@ -172,13 +168,12 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
             cached[k] = []
             for g1, g2, own in blocks:
                 sub = buf[..., : g1.shape[-1]]
-                gamma, tmp = (sub[:lanes], sub[lanes : 2 * lanes]) if lanes > 1 else (sub[0], sub[1])
-                products = None if hoisted else (sub[-2], sub[-1])
-                # the SINRs: in one step on the node axis, or one step per node
-                per_node = (gamma, tmp) if lanes > 1 else ([gamma], [tmp])
-                steps = [(spread(own), gamma, tmp)] if hoisted else list(zip(own, *per_node))
+                num, common = (sub[0], sub[1]) if shared == 1 else (sub[:lanes], sub[lanes : 2 * lanes])
+                gamma, tmp = (sub[2 * shared :], sub[:lanes]) if lanes > 1 else (sub[2], sub[0])
+                # each node's SINR from the shared pieces: one step on the node axis, or one per node
+                steps = [(spread(own), gamma)] if hoisted else list(zip(own, gamma if lanes > 1 else [gamma]))
                 consts = spread(qscale), spread(neg_c_theta)
-                cached[k].append((spread(g1), spread(g2), products, steps, gamma, tmp, *consts))
+                cached[k].append((spread(g1), spread(g2), num, common, steps, gamma, tmp, *consts))
         return cached[k]
 
     def rates(p_r, p):
@@ -186,19 +181,21 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
         its rate array and the per-node exponent scale -c theta shaped to it."""
         nonlocal bufs
         p = [(p_tot - x) / 2.0 for x in p_r] if p is None else p
-        coef = [_sinr_coefficients(x, y, omega) for x, y in zip(p_r, p)]
         if bufs.shape[1] < min(len(p_r), rows):
             bufs = np.empty((len(bufs), min(len(p_r), rows), width))
             cached.clear()
         for r0 in range(0, len(p_r), rows):
             k = min(rows, len(p_r) - r0)
             at = r0 if k == 1 else slice(r0, r0 + k)
-            chunk = _row_chunk(coef, at)
-            for b, (hh, hs, products, steps, gamma, tmp, q, scale) in enumerate(views(k)):
-                if products:
-                    hh, hs = np.multiply(hh, hs, products[0]), np.add(hh, hs, products[1])
-                for h_r, out, scratch in steps:
-                    _sinr(chunk, hh, hs, h_r, out, scratch)
+            # the SINR factors per row, as columns; one row's stay floats, on numpy's scalar paths
+            coef = [_sinr_coefficients(x, y, omega) for x, y in zip(p_r[r0 : r0 + k], p[r0 : r0 + k])]
+            chunk = coef[0] if k == 1 else np.array(coef).T[:, :, None]
+            for b, (hh, hs, num, common, steps, gamma, tmp, q, scale) in enumerate(views(k)):
+                if not hoisted:  # the block's gain product and sum
+                    hh, hs = np.multiply(hh, hs, num), np.add(hh, hs, common)
+                _, _, relay = _sinr_shared(chunk, hh, hs, num, common)
+                for h_r, out in steps:
+                    _sinr_node(num, common, relay, h_r, out)
                 yield b, at, _rate_into(gamma, q, bonus, tmp), scale
 
     def capacities(p_r, p=None) -> list:
@@ -208,24 +205,23 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
             z_max = np.maximum.reduce(z, -1, None, kept[0, b, node_axis, at, ...])
             np.exp(np.subtract(z, z_max[..., None], z), z)
             np.add.reduce(z, -1, None, kept[1, b, node_axis, at, ...])
-        top, sums = kept[:, 0].transpose(0, 2, 1).tolist()  # per row and node
+        top, sums = kept[:, 0].tolist()  # per node and row
         if len(blocks) > 1:  # Z = max_b z_b and sum_b s_b exp(z_b - Z)
-            for r, i in np.ndindex(len(p_r), lanes):
+            for i, r in np.ndindex(lanes, len(p_r)):
                 z_bs, s_bs = kept[:, :, i, r].tolist()
-                top[r][i] = z_max = max(z_bs)
-                sums[r][i] = math.fsum([s * math.exp(z_b - z_max) for z_b, s in zip(z_bs, s_bs)])
+                top[i][r] = z_max = max(z_bs)
+                sums[i][r] = math.fsum([s * math.exp(z_b - z_max) for z_b, s in zip(z_bs, s_bs)])
         return [
             [t.capacity(peak, total, n) for t, peak, total in zip(terms, z_row, s_row)]
-            for z_row, s_row in zip(top, sums)
+            for z_row, s_row in zip(zip(*top), zip(*sums))
         ]
 
     def taus(p_r, w, p=None) -> list:
         low = np.empty((len(blocks), len(p_r)))  # per block and row: the minimum
-        weights = [(x, 1.0 - x) for x in w]
         for b, at, (r_a, r_b), _ in rates(p_r, p):
-            w_a, w_b = _row_chunk(weights, at)
+            w_a = w[at] if isinstance(at, int) else np.array(w[at])[:, None]
             np.multiply(r_a, w_a, r_a)
-            np.multiply(r_b, w_b, r_b)
+            np.multiply(r_b, 1.0 - w_a, r_b)
             np.minimum.reduce(np.add(r_a, r_b, r_a), -1, None, low[b, at, ...])
         # max of -0.5 (w r_a + (1-w) r_b); the half scale is a power of two,
         # so scaling the minimum gives the exact same value.

@@ -157,28 +157,33 @@ def _oriented(h_a, h_b, node: str):
 
 def _sinr_coefficients(p_r: float, p: float, omega: float) -> tuple:
     """Power factors (p p_r, p leak, leak_r leak, relay) of the FD SINR at one
-    allocation, with leak = p omega + 1 and leak_r = p_r omega + 1: the SINR
-    at the node with own gain h_r is num / (common + relay h_r), with num =
+    allocation, with leak = p omega + 1 and leak_r = p_r omega + 1.  The SINR
+    at the node with own gain h_r is num / (relay h_r + common), with num =
     p p_r H_A H_B, common = p leak (H_A + H_B) + leak_r leak and relay = p_r
-    leak_r.  Every factor holding omega is exactly 1 at omega = 0."""
+    leak_r; every factor holding omega is exactly 1 at omega = 0."""
     leak_r = p_r * omega + 1.0
     leak = p * omega + 1.0
     return p * p_r, p * leak, leak_r * leak, p_r * leak_r
 
 
-def _sinr(coef, hh, hs, h_r, out=None, tmp=None):
-    """The FD SINR from the factors of :func:`_sinr_coefficients` (floats,
-    or one column per allocation), the gain product hh = H_A H_B, the gain
-    sum hs = H_A + H_B and the own gain h_r; in place in ``out``, with the
-    scratch ``tmp`` of the same shape, when given.  Bit-symmetric in the
-    gains, and the same bits either way."""
+def _sinr_shared(coef, hh, hs, num=None, common=None):
+    """Node-symmetric pieces num and common of the FD SINR from the gain
+    product hh = H_A H_B, the gain sum hs = H_A + H_B and the factors of
+    :func:`_sinr_coefficients` (floats, or one column per allocation),
+    written into ``num`` and ``common`` when given (which may be hh and hs)."""
     pp, p_leak, leaks, relay = coef
-    if out is None:  # plain operators keep scalar calls cheap
-        return hh * pp / (hs * p_leak + leaks + h_r * relay)
-    den = np.multiply(hs, p_leak, out)
-    den += leaks
-    den += np.multiply(h_r, relay, tmp)
-    return np.divide(np.multiply(hh, pp, tmp), den, out)
+    # Without buffers, plain operators keep scalar calls cheap.
+    num = hh * pp if num is None else np.multiply(hh, pp, num)
+    common = hs * p_leak if common is None else np.multiply(hs, p_leak, common)
+    common += leaks
+    return num, common, relay
+
+
+def _sinr_node(num, common, relay, h_r, out=None):
+    """One node's SINR from the shared pieces, written into ``out`` when given."""
+    den = h_r * relay if out is None else np.multiply(h_r, relay, out)
+    den += common
+    return num / den if out is None else np.divide(num, den, out)
 
 
 def snr_hd(alloc: PowerAllocation, h_a, h_b, node: str = "A"):
@@ -201,7 +206,8 @@ def sinr_fd(alloc: PowerAllocation, omega: float, h_a, h_b, node: str = "A"):
         raise ValueError(f"omega must lie in [0, 1], got {omega}")
     hr, _ = _oriented(h_a, h_b, node)
     # 1.0 * makes integer gains float, exactly
-    return _sinr(_sinr_coefficients(alloc.p_r, alloc.p_node, omega), 1.0 * h_a * h_b, 1.0 * h_a + h_b, hr)
+    shared = _sinr_shared(_sinr_coefficients(alloc.p_r, alloc.p_node, omega), 1.0 * h_a * h_b, 1.0 * h_a + h_b)
+    return _sinr_node(*shared, hr)
 
 
 def _check_gains(h_a: float, h_b: float) -> None:
