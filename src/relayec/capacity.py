@@ -152,7 +152,8 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
         np.add(h_a, h_b, hs)
         for row, t in zip(own, terms):
             row[...] = t.hr
-        qscale_rows[...], qscale = qscale, qscale_rows
+        qscale_rows[...] = qscale
+        qscale = qscale_rows
         blocks = [(hh, hs, own)]
     # num and common, per node when fused, then the SINRs; the rate's scratch reuses the first
     shared = lanes if hoisted else 1
@@ -161,36 +162,36 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
     cached = {}  # rows per pass -> per block: gains, buffer views, per-node constants
 
     def views(k: int) -> list:
-        if k not in cached:
-            buf = bufs[:, :k] if k > 1 else bufs[:, 0]
-            # only one block serves k > 1 rows; its node-axis arrays get a k axis
-            spread = (lambda a: a[:, None]) if k > 1 and lanes > 1 else (lambda a: a)
-            cached[k] = []
-            for g1, g2, own in blocks:
-                sub = buf[..., : g1.shape[-1]]
-                num, common = (sub[0], sub[1]) if shared == 1 else (sub[:lanes], sub[lanes : 2 * lanes])
-                gamma, tmp = (sub[2 * shared :], sub[:lanes]) if lanes > 1 else (sub[2], sub[0])
-                # each node's SINR from the shared pieces: one step on the node axis, or one per node
-                steps = [(spread(own), gamma)] if hoisted else list(zip(own, gamma if lanes > 1 else [gamma]))
-                consts = spread(qscale), spread(neg_c_theta)
-                cached[k].append((spread(g1), spread(g2), num, common, steps, gamma, tmp, *consts))
+        """Per block: its gains, buffer views and per-node constants for k rows."""
+        buf = bufs[:, :k] if k > 1 else bufs[:, 0]
+        # only one block serves k > 1 rows; its node-axis arrays get a k axis
+        spread = (lambda a: a[:, None]) if k > 1 and lanes > 1 else (lambda a: a)
+        cached[k] = []
+        for g1, g2, own in blocks:
+            sub = buf[..., : g1.shape[-1]]
+            num, common = (sub[0], sub[1]) if shared == 1 else (sub[:lanes], sub[lanes : 2 * lanes])
+            gamma, tmp = (sub[2 * shared :], sub[:lanes]) if lanes > 1 else (sub[2], sub[0])
+            # each node's SINR from the shared pieces: one step on the node axis, or one per node
+            steps = [(spread(own), gamma)] if hoisted else list(zip(own, gamma if lanes > 1 else [gamma]))
+            consts = spread(qscale), spread(neg_c_theta)
+            cached[k].append((spread(g1), spread(g2), num, common, steps, gamma, tmp, *consts))
         return cached[k]
 
     def rates(p_r, p):
         """Per pass: its block, its rows (an index, or a slice when k > 1),
         its rate array and the per-node exponent scale -c theta shaped to it."""
         nonlocal bufs
-        p = [(p_tot - x) / 2.0 for x in p_r] if p is None else p
-        if bufs.shape[1] < min(len(p_r), rows):
+        if bufs.shape[1] < min(len(p_r), rows):  # grow the buffer to the largest chunk
             bufs = np.empty((len(bufs), min(len(p_r), rows), width))
             cached.clear()
         for r0 in range(0, len(p_r), rows):
-            k = min(rows, len(p_r) - r0)
-            at = r0 if k == 1 else slice(r0, r0 + k)
+            xs = p_r[r0 : r0 + rows]
+            ys = [(p_tot - x) / 2.0 for x in xs] if p is None else p[r0 : r0 + rows]
             # the SINR factors per row, as columns; one row's stay floats, on numpy's scalar paths
-            coef = [_sinr_coefficients(x, y, omega) for x, y in zip(p_r[r0 : r0 + k], p[r0 : r0 + k])]
-            chunk = coef[0] if k == 1 else np.array(coef).T[:, :, None]
-            for b, (hh, hs, num, common, steps, gamma, tmp, q, scale) in enumerate(views(k)):
+            coef = [_sinr_coefficients(x, y, omega) for x, y in zip(xs, ys)]
+            k = len(coef)
+            at, chunk = (r0, coef[0]) if k == 1 else (slice(r0, r0 + k), np.array(coef).T[:, :, None])
+            for b, (hh, hs, num, common, steps, gamma, tmp, q, scale) in enumerate(cached.get(k) or views(k)):
                 if not hoisted:  # the block's gain product and sum
                     hh, hs = np.multiply(hh, hs, num), np.add(hh, hs, common)
                 _, _, relay = _sinr_shared(chunk, hh, hs, num, common)
