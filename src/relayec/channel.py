@@ -48,7 +48,8 @@ class ChannelSamples:
             raise ValueError("h_a and h_b must be 1-D arrays of equal length")
         if self.h_a.size == 0:
             raise ValueError("sample set must not be empty")
-        if not all(np.all((h > 0.0) & (h < math.inf)) for h in (self.h_a, self.h_b)):  # False for NaN
+        # min and max propagate NaN, which fails both tests, and allocate nothing
+        if not all(h.min() > 0.0 and h.max() < math.inf for h in (self.h_a, self.h_b)):
             raise ValueError("channel power gains must be strictly positive and finite")
 
     def __len__(self) -> int:
