@@ -97,6 +97,8 @@ class ExperimentConfig:
             raise ConfigError(f"format must be csv|json, got {self.format!r}")
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         values = [(f.name, getattr(self, f.name)) for f in fields(self)]
         for name, v in values + [("sweep_values", x) for x in self.sweep_values]:
             if isinstance(v, float) and not np.isfinite(v):

@@ -49,7 +49,7 @@ class SystemParams:
     hd_rate_blocklength: str = "m/2"
 
     def __post_init__(self):
-        if self.m < 1:
+        if not (self.m >= 1 and float(self.m).is_integer()):  # False for NaN; inf is no integer
             raise ValueError(f"m must be a positive integer, got {self.m}")
         if not 0.0 < self.p_tot < math.inf:
             raise ValueError(f"p_tot must be positive and finite, got {self.p_tot}")

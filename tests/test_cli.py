@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +76,8 @@ class TestConfig:
             ExperimentConfig(sweep_values=(2.0, 1.0))
         with pytest.raises(ConfigError):
             ExperimentConfig(samples=0)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(seed=-1)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -257,6 +262,23 @@ class TestMain:
     def test_config_error_exit_code(self, tmp_path, capsys):
         assert main(["fig4", "--mode", "xx", "--out", str(tmp_path / "x.csv")]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_negative_seed_exit_code(self, tmp_path, capsys, source):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("seed = -3\n")
+        args = ["--seed", "-1"] if source == "flag" else ["--config", str(cfgfile)]
+        out = tmp_path / "x.csv"
+        assert main(["fig4", *args, "--samples", "40", "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy.special alone would add ~0.35 s to every command's start-up
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, relayec, relayec.cli; assert 'scipy' not in sys.modules, sorted(sys.modules)"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     @pytest.mark.parametrize("flag", ["--omega", "--w", "--d-a"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relayec import FblPoint, check_rate_shape, fbl_rate, inverse_q, q_tail
 
@@ -76,6 +79,51 @@ class TestInverseQ:
         out = inverse_q(p)
         assert out.shape == (2,)
         assert out[1] == pytest.approx(QINV_1E4, rel=1e-12)
+
+
+class TestMatchesScipy:
+    """inverse_q ports Cephes ndtri, so it must equal -scipy.special.ndtri
+    exactly, down to the sign of zero; q_tail's erfc is a different
+    implementation and agrees to rounding only."""
+
+    EXPM2 = math.exp(-2.0)
+
+    @staticmethod
+    def assert_bit_identical(p: float):
+        got, want = inverse_q(p), -float(scipy.special.ndtri(p))
+        assert math.copysign(1.0, got) == math.copysign(1.0, want) and got == want, p
+
+    def test_fixed_points(self):
+        # the branch edges exp(-2), 1 - exp(-2) and exp(-32) (z = 8), each with its float neighbours
+        edges = [0.5, self.EXPM2, 1.0 - self.EXPM2, math.exp(-32.0)]
+        neighbours = [math.nextafter(p, toward) for p in edges for toward in (0.0, 1.0)]
+        for p in edges + neighbours + [5e-324, 1e-300, 1e-15, 1e-13, 1.0 - 2.0**-53]:
+            self.assert_bit_identical(p)
+
+    @settings(max_examples=300)
+    @given(st.floats(min_value=math.log(5e-324), max_value=0.0).map(math.exp).filter(lambda p: 0.0 < p < 1.0))
+    def test_log_uniform(self, p):
+        self.assert_bit_identical(p)
+
+    @settings(max_examples=300)
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    def test_uniform(self, p):
+        self.assert_bit_identical(p)
+
+    def test_array_path_is_float_path(self):
+        rng = np.random.default_rng(5)
+        p = np.concatenate([10.0 ** rng.uniform(-300.0, 0.0, 4000), rng.uniform(0.0, 1.0, 4000)])
+        p = p[(p > 0.0) & (p < 1.0)].reshape(-1, 2)
+        out = inverse_q(p)
+        assert out.shape == p.shape and out.dtype == np.float64
+        assert out.tolist() == [[inverse_q(v) for v in row] for row in p.tolist()]
+        assert np.array_equal(out, -scipy.special.ndtri(p))
+
+    def test_q_tail(self):
+        x = np.concatenate([np.linspace(-8.0, 8.0, 801), np.logspace(-6.0, np.log10(37.0), 200)])
+        want = 0.5 * scipy.special.erfc(x / np.sqrt(2.0))
+        np.testing.assert_allclose(q_tail(x), want, rtol=1e-13, atol=0.0)
+        assert all(q_tail(float(v)) == got for v, got in zip(x, q_tail(x)))
 
 
 class TestFblRate:

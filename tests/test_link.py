@@ -77,6 +77,10 @@ class TestSystemParams:
     def test_domain(self):
         nan, inf = float("nan"), float("inf")
         for bad in (
+            dict(m=0),
+            dict(m=nan),
+            dict(m=inf),
+            dict(m=2.5),
             dict(omega=1.5),
             dict(w=-0.1),
             dict(eps_a=0.9),
