@@ -1,16 +1,9 @@
 """Effective-capacity power allocation for two-way HD/FD relays with
 finite-blocklength packets."""
 
-from .capacity import (
-    EcPoint,
-    ec_point,
-    effective_capacity,
-    per_sample_rates,
-    surrogate_objective,
-    weighted_objective_exact,
-)
+from .capacity import EcPoint, ec_point, effective_capacity, per_sample_rates
 from .channel import ChannelSamples, Geometry, load_csv, sample_channels, save_csv
-from .fbl import FblPoint, RateShape, check_rate_shape, fbl_rate, inverse_q, q_tail
+from .fbl import fbl_rate, inverse_q, q_tail
 from .link import (
     PowerAllocation,
     RelayMode,
@@ -26,13 +19,11 @@ from .solver import (
     SolveMethod,
     SolveReport,
     apply_threshold_policy,
-    filter_dominated,
     maximize_unimodal,
     pareto_epsilon_constraint,
     pareto_weighted,
     solve_approx,
     solve_exact,
-    warm_start_relay_power,
 )
 
 __version__ = "0.1.0"
@@ -40,21 +31,17 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelSamples",
     "EcPoint",
-    "FblPoint",
     "Geometry",
     "ParetoFrontier",
     "PowerAllocation",
-    "RateShape",
     "RelayMode",
     "SolveMethod",
     "SolveReport",
     "SystemParams",
     "apply_threshold_policy",
-    "check_rate_shape",
     "ec_point",
     "effective_capacity",
     "fbl_rate",
-    "filter_dominated",
     "inverse_q",
     "load_csv",
     "maximize_unimodal",
@@ -70,8 +57,5 @@ __all__ = [
     "snr_hd",
     "solve_approx",
     "solve_exact",
-    "surrogate_objective",
     "threshold_roots_hd",
-    "warm_start_relay_power",
-    "weighted_objective_exact",
 ]

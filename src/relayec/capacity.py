@@ -1,5 +1,5 @@
-"""Monte-Carlo effective-capacity estimators and the two scalarized
-power-allocation objectives built on them.
+"""Monte-Carlo effective-capacity estimators and the min-max surrogate the
+approximate solver searches.
 
 The effective capacity of a node is the largest constant arrival rate its
 transmit buffer can sustain while the delay tail decays with QoS exponent
@@ -30,17 +30,17 @@ broadcast nothing.  Above one block these would be n-sized arrays held per
 kernel, so each pass forms the products in its block buffer instead, and
 memory stays a few blocks.
 
-The scalar functions and ``*_fn`` closures are its one-row case; the
-solvers evaluate many line-search probes per call.  Neither a node's
-capacity nor a row's depends on what else is evaluated with it, so every
-entry point agrees bit for bit.
+``effective_capacity`` and ``ec_point`` are its one-row case; the
+solvers evaluate many line-search probes per call.  Neither a node's capacity nor a row's
+depends on what else is evaluated with it, so every entry point agrees
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,6 +120,15 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
     split): ``capacities(p_r, p)``, per row a list of per-node capacities,
     and, for both nodes, ``taus(p_r, w, p)``, per row the min-max surrogate
     at the row's weight, each bit for bit what a one-row call returns.
+
+    The surrogate drops the expectation: tau is the worst sample's weighted
+    rate term,
+
+        tau = max_i[ -(w/2) r_A_i - ((1-w)/2) r_B_i ],
+
+    without the additive constants of the log-mean-exp bound it stands in
+    for, so it compares allocations but not parameter sets.  It needs no
+    per-sample exponential or logarithm beyond the rate itself.
 
     A pass covers k rows and a block of samples in one (nodes, k, samples)
     array, with no node axis for one node and no k axis for one row, of a
@@ -262,69 +271,3 @@ def ec_point(
 ) -> EcPoint:
     [(r_ea, r_eb)] = _kernel(mode, samples, params, NODES)[0]([alloc.p_r], [alloc.p_node])
     return EcPoint(r_ea=r_ea, r_eb=r_eb, alloc=alloc)
-
-
-def weighted_objective_exact(
-    mode: RelayMode,
-    samples: ChannelSamples,
-    params: SystemParams,
-    alloc: PowerAllocation,
-) -> float:
-    """The scalarized minimization objective J = -w R_EA - (1-w) R_EB.
-
-    Built from the same estimator kernels as :func:`effective_capacity`,
-    so the identity J + w R_EA + (1-w) R_EB == 0 holds exactly.
-    """
-    return weighted_objective_fn(mode, samples, params)(alloc.p_r)
-
-
-def surrogate_objective(
-    mode: RelayMode,
-    samples: ChannelSamples,
-    params: SystemParams,
-    alloc: PowerAllocation,
-) -> float:
-    """Min-max surrogate of the exact objective.
-
-    Drops the expectation: tau is the worst sample's weighted rate term,
-
-        tau = max_i[ -(w/2) r_A_i - ((1-w)/2) r_B_i ].
-
-    Additive constants of the underlying log-mean-exp bound are omitted,
-    so the value is comparable across allocations but not across parameter
-    sets.  Much cheaper per evaluation than the exact objective: no
-    per-sample exponentials or logarithms beyond the rate itself.
-    """
-    return surrogate_objective_fn(mode, samples, params)(alloc.p_r)
-
-
-def node_capacity_fn(
-    mode: RelayMode, samples: ChannelSamples, params: SystemParams, node: str
-) -> Callable[[float], float]:
-    """Closure evaluating one node's effective capacity at a relay power, bit
-    identical to :func:`effective_capacity` at ``from_relay_power(p_r, p_tot)``."""
-    capacities, _ = _kernel(mode, samples, params, (node,))
-    return lambda p_r: capacities([p_r])[0][0]
-
-
-def weighted_objective_fn(
-    mode: RelayMode, samples: ChannelSamples, params: SystemParams
-) -> Callable[[float], float]:
-    """Closure evaluating the exact objective J at a relay power."""
-    capacities, _ = _kernel(mode, samples, params, NODES)
-    w = params.w
-
-    def objective(p_r: float) -> float:
-        [(r_ea, r_eb)] = capacities([p_r])
-        return -(w * r_ea + (1.0 - w) * r_eb)
-
-    return objective
-
-
-def surrogate_objective_fn(
-    mode: RelayMode, samples: ChannelSamples, params: SystemParams
-) -> Callable[[float], float]:
-    """Closure evaluating the min-max surrogate tau at a relay power."""
-    _, taus = _kernel(mode, samples, params, NODES)
-    w = params.w
-    return lambda p_r: taus([p_r], [w])[0]

@@ -17,22 +17,18 @@ import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from statistics import mean, stdev
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .capacity import ec_point
 from .channel import Geometry, sample_channels
 from .link import PowerAllocation, RelayMode, SystemParams
-from .solver import SolveMethod, pareto_epsilon_constraint, pareto_weighted, solve_approx, solve_exact
+from .solver import SolveMethod, SolveReport, _solve_weights, pareto_epsilon_constraint, pareto_weighted
+from .solver import solve_approx, solve_exact
 
 EPS_GRID = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 PR_GRID_POINTS = 200
-FIG2_DA = (0.1, 0.5, 0.8)
-FIG3_OMEGA = (0.1, 0.3, 0.5)
-FIG5_OMEGA = (0.01, 0.05, 0.10)
-FIG6_OMEGA = (0.01, 0.05, 0.10)
-FIG7_DA = (0.3, 0.5, 0.7)
 FIG8_SCENARIOS = ((0.5, 0.01), (0.2, 0.01), (0.2, 0.10), (0.5, 0.10))
 BENCH_EPS = (1e-8, 1e-5, 1e-2)
 BENCH_OMEGA = (0.01, 0.05, 0.10)
@@ -105,6 +101,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be finite, got {v}")
         if self.sweep_values and list(self.sweep_values) != sorted(self.sweep_values):
             raise ConfigError("sweep_values must be sorted ascending")
+        if self.sweep_param == "p_r" and not all(0.0 <= x <= self.p_tot for x in self.sweep_values):
+            raise ConfigError(f"p_r sweep values must lie in [0, p_tot = {self.p_tot}]")
 
     def relay_mode(self) -> RelayMode:
         return RelayMode(self.mode)
@@ -240,43 +238,18 @@ def _cell_json(v):
 # ---------------------------------------------------------------------------
 # sweep engine
 
-def _scenario_echo(cfg: ExperimentConfig) -> dict:
-    return {
-        "mode": cfg.mode,
-        "method": cfg.method,
-        "m": cfg.m,
-        "p_tot": cfg.p_tot,
-        "alpha": cfg.alpha,
-        "d_a": cfg.d_a,
-        "omega": cfg.omega,
-        "eps_a": cfg.eps_a,
-        "eps_b": cfg.eps_b,
-        "theta_a": cfg.theta_a,
-        "theta_b": cfg.theta_b,
-        "gamma_t_a": cfg.gamma_t_a,
-        "gamma_t_b": cfg.gamma_t_b,
-        "w": cfg.w,
-        "samples": cfg.samples,
-        "seed": cfg.seed,
-        "hd_rate_blocklength": cfg.hd_rate_blocklength,
-    }
+# the config fields a sweep axis sets; a p_r sweep fixes the allocation instead
+SWEEP_FIELDS = {
+    "p_r": (), "eps": ("eps_a", "eps_b"), "theta": ("theta_a", "theta_b"),
+    "w": ("w",), "omega": ("omega",), "d_a": ("d_a",),
+}
 
 
 def _apply_sweep_value(cfg: ExperimentConfig, value: float) -> ExperimentConfig:
-    p = cfg.sweep_param
-    if p == "p_r":
-        return cfg
-    if p == "eps":
-        return replace(cfg, eps_a=value, eps_b=value)
-    if p == "theta":
-        return replace(cfg, theta_a=value, theta_b=value)
-    if p == "w":
-        return replace(cfg, w=value)
-    if p == "omega":
-        return replace(cfg, omega=value)
-    if p == "d_a":
-        return replace(cfg, d_a=value)
-    raise ConfigError(f"unknown sweep parameter {cfg.sweep_param!r}")
+    if cfg.sweep_param not in SWEEP_FIELDS:
+        raise ConfigError(f"unknown sweep parameter {cfg.sweep_param!r}")
+    names = SWEEP_FIELDS[cfg.sweep_param]
+    return replace(cfg, **dict.fromkeys(names, value)) if names else cfg
 
 
 def run_sweep(config: ExperimentConfig) -> list[dict]:
@@ -285,60 +258,54 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
     For a ``p_r`` sweep the capacities are evaluated at the fixed
     allocation; for every other axis the allocation is solved per point
     with the configured method (``equal`` takes the third/third/third
-    split without solving).  Rows come out in grid order and are fully
-    deterministic under a fixed seed.
+    split without solving).  A ``w`` axis is solved in one lockstep batch,
+    each weight as on its own.  Every grid point is validated before any
+    solve.  Rows come out in grid order and are fully deterministic under
+    a fixed seed.
     """
     if not config.sweep_param:
         raise ConfigError("config has no sweep axis")
     if not config.sweep_values:
         raise ConfigError("sweep grid is empty")
     mode = config.relay_mode()
+    cfgs = [_apply_sweep_value(config, float(value)) for value in config.sweep_values]
+    params = [cfg.system_params() for cfg in cfgs]
+    geoms = {cfg.d_a: p.geom for cfg, p in zip(cfgs, params)}  # one sample set per placement
+    drawn = {d_a: sample_channels(geom, config.samples, config.seed) for d_a, geom in geoms.items()}
+    samples = [drawn[cfg.d_a] for cfg in cfgs]
+
+    if config.sweep_param == "p_r" or config.method == "equal":
+        method = "fixed" if config.sweep_param == "p_r" else "equal"
+        reports = []
+        for x, s, p in zip(config.sweep_values, samples, params):
+            if method == "fixed":
+                alloc = PowerAllocation.from_relay_power(float(x), p.p_tot)
+            else:
+                alloc = PowerAllocation.equal_split(p.p_tot)
+            reports.append(SolveReport(alloc, ec_point(mode, s, p, alloc), None, None, 0, 0, 0.0))  # no search
+    elif config.sweep_param == "w":
+        method = config.method
+        reports = _solve_weights(mode, samples[0], params[0], [p.w for p in params], SolveMethod(method))
+    else:
+        method = config.method
+        solver = solve_exact if method == "exact" else solve_approx
+        reports = [solver(mode, s, p) for s, p in zip(samples, params)]
+
     rows = []
-    sample_cache: dict[float, object] = {}
-    for value in config.sweep_values:
-        cfg = _apply_sweep_value(config, float(value))
-        params = cfg.system_params()
-        key = cfg.d_a
-        if key not in sample_cache:
-            sample_cache[key] = sample_channels(params.geom, cfg.samples, cfg.seed)
-        samples = sample_cache[key]
-
-        silenced = ""
-        degenerate = False
-        iterations = 0
-        evals = 0
-        if config.sweep_param == "p_r":
-            alloc = PowerAllocation.from_relay_power(float(value), params.p_tot)
-            ec = ec_point(mode, samples, params, alloc)
-            method = "fixed"
-        elif cfg.method == "equal":
-            alloc = PowerAllocation.equal_split(params.p_tot)
-            ec = ec_point(mode, samples, params, alloc)
-            method = "equal"
-        else:
-            solver = solve_exact if cfg.method == "exact" else solve_approx
-            report = solver(mode, samples, params)
-            alloc, ec = report.alloc, report.ec
-            silenced = report.silenced or ""
-            degenerate = report.degenerate
-            iterations = report.iterations
-            evals = report.objective_evals
-            method = cfg.method
-
-        row = _scenario_echo(cfg)
-        row.update(
-            sweep_param=config.sweep_param,
+    for value, cfg, p, report in zip(config.sweep_values, cfgs, params, reports):
+        row = dict(
+            vars(cfg),
             sweep_value=float(value),
             method=method,
-            p_r=alloc.p_r,
-            p_node=alloc.p_node,
-            r_ea=ec.r_ea,
-            r_eb=ec.r_eb,
-            weighted_sum=ec.weighted_sum(params.w),
-            silenced=silenced,
-            degenerate=degenerate,
-            iterations=iterations,
-            objective_evals=evals,
+            p_r=report.alloc.p_r,
+            p_node=report.alloc.p_node,
+            r_ea=report.ec.r_ea,
+            r_eb=report.ec.r_eb,
+            weighted_sum=report.ec.weighted_sum(p.w),
+            silenced=report.silenced or "",
+            degenerate=report.degenerate,
+            iterations=report.iterations,
+            objective_evals=report.objective_evals,
         )
         rows.append({c: row[c] for c in SWEEP_COLUMNS})
     return rows
@@ -355,10 +322,7 @@ def run_bench(config: ExperimentConfig, repeats: int) -> list[dict]:
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     mode = config.relay_mode()
-    if mode is RelayMode.HD:
-        cells = [("eps", e) for e in BENCH_EPS]
-    else:
-        cells = [("omega", o) for o in BENCH_OMEGA]
+    cells = [("eps", e) for e in BENCH_EPS] if mode is RelayMode.HD else [("omega", o) for o in BENCH_OMEGA]
     rows = []
     for param_name, value in cells:
         cfg = replace(config, sweep_param=param_name)
@@ -409,65 +373,53 @@ def _pr_grid(cfg: ExperimentConfig) -> tuple:
     return tuple(np.linspace(1.0, cfg.p_tot - 1.0, PR_GRID_POINTS))
 
 
-def fig2_rows(cfg: ExperimentConfig) -> list[dict]:
-    """HD capacity of both nodes versus relay power, one curve per relay
-    placement."""
-    base = replace(cfg, mode="hd", sweep_param="p_r", sweep_values=_pr_grid(cfg))
-    rows = []
-    for d_a in FIG2_DA:
-        rows.extend(run_sweep(replace(base, d_a=d_a)))
-    return rows
+class Figure(NamedTuple):
+    """A sweep figure: its help line, swept axis, grid (empty: the p_r grid),
+    the overrides of each curve in emission order, and scenario defaults
+    that apply unless the config file or a flag sets them."""
+
+    help: str
+    axis: str
+    grid: tuple
+    curves: tuple
+    defaults: dict = {}
 
 
-def fig3_rows(cfg: ExperimentConfig) -> list[dict]:
-    """FD capacity versus relay power, one curve per self-interference level."""
-    base = replace(cfg, mode="fd", sweep_param="p_r", sweep_values=_pr_grid(cfg))
-    rows = []
-    for omega in FIG3_OMEGA:
-        rows.extend(run_sweep(replace(base, omega=omega)))
-    return rows
+STRATEGIES = ("exact", "approx", "equal")
+FIGURES = {
+    "fig2": Figure(
+        "HD capacity of both nodes versus relay power, one curve per relay placement.",
+        "p_r", (), tuple({"mode": "hd", "d_a": d_a} for d_a in (0.1, 0.5, 0.8)),
+    ),
+    "fig3": Figure(
+        "FD capacity versus relay power, one curve per self-interference level.",
+        "p_r", (), tuple({"mode": "fd", "omega": omega} for omega in (0.1, 0.3, 0.5)), {"d_a": 0.1},
+    ),
+    "fig4": Figure(
+        "HD weighted capacity versus error probability for the three allocation strategies.",
+        "eps", EPS_GRID, tuple({"mode": "hd", "method": method} for method in STRATEGIES),
+    ),
+    "fig5": Figure(
+        "FD weighted capacity versus error probability, per self-interference level and allocation strategy.",
+        "eps", EPS_GRID,
+        tuple({"mode": "fd", "omega": o, "method": method} for o in (0.01, 0.05, 0.10) for method in STRATEGIES),
+    ),
+    "fig6": Figure(
+        "Weighted capacity versus QoS exponent, HD against FD at several self-interference levels.",
+        "theta", THETA_GRID, ({"mode": "hd"},) + tuple({"mode": "fd", "omega": omega} for omega in (0.01, 0.05, 0.10)),
+    ),
+    "fig7": Figure(
+        "Weighted capacity versus priority weight, per relay placement, HD and FD.",
+        "w", W_GRID, tuple({"mode": mode, "d_a": d_a} for d_a in (0.3, 0.5, 0.7) for mode in ("hd", "fd")),
+    ),
+}
 
 
-def fig4_rows(cfg: ExperimentConfig) -> list[dict]:
-    """HD weighted capacity versus error probability for the three
-    allocation strategies."""
-    base = replace(cfg, mode="hd", sweep_param="eps", sweep_values=EPS_GRID)
-    rows = []
-    for method in ("exact", "approx", "equal"):
-        rows.extend(run_sweep(replace(base, method=method)))
-    return rows
-
-
-def fig5_rows(cfg: ExperimentConfig) -> list[dict]:
-    """FD weighted capacity versus error probability, per self-interference
-    level and allocation strategy."""
-    base = replace(cfg, mode="fd", sweep_param="eps", sweep_values=EPS_GRID)
-    rows = []
-    for omega in FIG5_OMEGA:
-        for method in ("exact", "approx", "equal"):
-            rows.extend(run_sweep(replace(base, omega=omega, method=method)))
-    return rows
-
-
-def fig6_rows(cfg: ExperimentConfig) -> list[dict]:
-    """Weighted capacity versus QoS exponent, HD against FD at several
-    self-interference levels."""
-    base = replace(cfg, sweep_param="theta", sweep_values=THETA_GRID)
-    rows = list(run_sweep(replace(base, mode="hd")))
-    for omega in FIG6_OMEGA:
-        rows.extend(run_sweep(replace(base, mode="fd", omega=omega)))
-    return rows
-
-
-def fig7_rows(cfg: ExperimentConfig) -> list[dict]:
-    """Weighted capacity versus priority weight, per relay placement, HD
-    and FD."""
-    base = replace(cfg, sweep_param="w", sweep_values=W_GRID)
-    rows = []
-    for d_a in FIG7_DA:
-        rows.extend(run_sweep(replace(base, mode="hd", d_a=d_a)))
-        rows.extend(run_sweep(replace(base, mode="fd", d_a=d_a)))
-    return rows
+def figure_rows(name: str, cfg: ExperimentConfig) -> list[dict]:
+    """The rows of sweep figure ``name``: one sweep per curve, in order."""
+    fig = FIGURES[name]
+    base = replace(cfg, sweep_param=fig.axis, sweep_values=fig.grid or _pr_grid(cfg))
+    return [row for curve in fig.curves for row in run_sweep(replace(base, **curve))]
 
 
 def fig8_rows(cfg: ExperimentConfig) -> list[dict]:
@@ -486,27 +438,17 @@ def fig8_rows(cfg: ExperimentConfig) -> list[dict]:
         params = sub.system_params()
         samples = sample_channels(params.geom, sub.samples, sub.seed)
         weighted = pareto_weighted(RelayMode.FD, samples, params, W_GRID, method=method)
-        for w, point in zip(weighted.parameter_grid, weighted.points):
-            rows.append(_pareto_row(sub, "weighted", w, point))
         mu_grid = tuple(sorted({p.r_eb for p in weighted.points}))
         constrained = pareto_epsilon_constraint(RelayMode.FD, samples, params, mu_grid)
-        for mu, point in zip(constrained.parameter_grid, constrained.points):
-            rows.append(_pareto_row(sub, "epsilon", mu, point))
+        for kind, front in (("weighted", weighted), ("epsilon", constrained)):
+            rows.extend(
+                dict(
+                    d_a=d_a, omega=omega, method=kind, parameter=float(x), p_r=point.alloc.p_r,
+                    r_ea=point.r_ea, r_eb=point.r_eb, samples=sub.samples, seed=sub.seed,
+                )
+                for x, point in zip(front.parameter_grid, front.points)
+            )
     return rows
-
-
-def _pareto_row(cfg: ExperimentConfig, method: str, parameter: float, point) -> dict:
-    return {
-        "d_a": cfg.d_a,
-        "omega": cfg.omega,
-        "method": method,
-        "parameter": float(parameter),
-        "p_r": point.alloc.p_r,
-        "r_ea": point.r_ea,
-        "r_eb": point.r_eb,
-        "samples": cfg.samples,
-        "seed": cfg.seed,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +479,10 @@ def _build_parser() -> _Parser:
 
     parser = _Parser(prog="relayec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=fn.__doc__)
+    helps = {name: fig.help for name, fig in FIGURES.items()}
+    helps.update((name, fn.__doc__.split("\n\n")[0]) for name, fn in (("fig8", fig8_rows), ("bench", bench_rows)))
+    for name, text in helps.items():
+        p = sub.add_parser(name, parents=[common], help=text)
         if name == "bench":
             p.add_argument("--repeats", type=int, default=100)
     return parser
@@ -551,9 +495,8 @@ _SCENARIO_KEYS = (
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    values: dict = {}
-    if args.config:
-        values.update(load_config(args.config))
+    given = load_config(args.config) if args.config else {}
+    values = dict(given)
     if args.paper_defaults:
         defaults = ExperimentConfig()
         for key in _SCENARIO_KEYS:
@@ -561,32 +504,25 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     for key in ("seed", "samples", "mode", "omega", "w", "d_a", "out", "format", "method"):
         v = getattr(args, key, None)
         if v is not None:
-            values[key] = v
+            values[key] = given[key] = v
+    # a figure's defaults yield to the file and the flags, not to --paper-defaults
+    fig = FIGURES.get(args.command)
+    values.update((k, v) for k, v in (fig.defaults if fig else {}).items() if k not in given)
     try:
         return ExperimentConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _default_fig3(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if args.d_a is None and not (args.config and "d_a" in load_config(args.config)):
-        cfg = replace(cfg, d_a=0.1)
-    return cfg
+def bench_rows(cfg: ExperimentConfig, repeats: int) -> list[dict]:
+    """Exact against approximate solve times per benchmark cell, HD then FD.
 
-
-def _cmd_fig2(cfg, args): return fig2_rows(cfg), SWEEP_COLUMNS
-def _cmd_fig3(cfg, args): return fig3_rows(_default_fig3(cfg, args)), SWEEP_COLUMNS
-def _cmd_fig4(cfg, args): return fig4_rows(cfg), SWEEP_COLUMNS
-def _cmd_fig5(cfg, args): return fig5_rows(cfg), SWEEP_COLUMNS
-def _cmd_fig6(cfg, args): return fig6_rows(cfg), SWEEP_COLUMNS
-def _cmd_fig7(cfg, args): return fig7_rows(cfg), SWEEP_COLUMNS
-def _cmd_fig8(cfg, args): return fig8_rows(cfg), PARETO_COLUMNS
-
-
-def _cmd_bench(cfg, args):
+    Prints the timing table to stdout and returns the deterministic file
+    columns.
+    """
     rows = []
     for mode in ("hd", "fd"):
-        rows.extend(run_bench(replace(cfg, mode=mode), args.repeats))
+        rows.extend(run_bench(replace(cfg, mode=mode), repeats))
     print(f"{'mode':<5} {'param':<6} {'value':>8} {'exact ms':>12} {'approx ms':>12} {'ratio':>7}")
     for r in rows:
         print(
@@ -595,20 +531,7 @@ def _cmd_bench(cfg, args):
             f"{r['mean_ms_approx']:>8.2f}±{r['std_ms_approx']:<5.2f} "
             f"{r['time_ratio']:>7.2f}"
         )
-    file_rows = [{c: r[c] for c in BENCH_FILE_COLUMNS} for r in rows]
-    return file_rows, BENCH_FILE_COLUMNS
-
-
-_COMMANDS = {
-    "fig2": _cmd_fig2,
-    "fig3": _cmd_fig3,
-    "fig4": _cmd_fig4,
-    "fig5": _cmd_fig5,
-    "fig6": _cmd_fig6,
-    "fig7": _cmd_fig7,
-    "fig8": _cmd_fig8,
-    "bench": _cmd_bench,
-}
+    return [{c: r[c] for c in BENCH_FILE_COLUMNS} for r in rows]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -616,7 +539,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _resolve_config(args)
-        rows, columns = _COMMANDS[args.command](cfg, args)
+        if args.command in FIGURES:
+            rows, columns = figure_rows(args.command, cfg), SWEEP_COLUMNS
+        elif args.command == "fig8":
+            rows, columns = fig8_rows(cfg), PARETO_COLUMNS
+        else:
+            rows, columns = bench_rows(cfg, args.repeats), BENCH_FILE_COLUMNS
     except ConfigError as exc:
         print(f"relayec: config error: {exc}", file=sys.stderr)
         return 1

@@ -22,8 +22,6 @@ bit for bit; importing scipy would double the package's start-up time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -137,47 +135,3 @@ def fbl_rate(gamma, m_cu, eps):
     qscale, bonus = rate_dispersion_scale(m_cu, eps), rate_blocklength_bonus(m_cu)
     r = _rate_into(g, qscale, bonus, np.empty_like(g))
     return float(r) if r.ndim == 0 else r
-
-
-@dataclass(frozen=True)
-class FblPoint:
-    """One operating point of the finite-blocklength rate formula."""
-
-    gamma: float
-    m_cu: int
-    eps: float
-
-    def __post_init__(self):
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.m_cu < 1:
-            raise ValueError(f"m_cu must be a positive integer, got {self.m_cu}")
-        if not 0.0 < self.eps <= 0.5:
-            raise ValueError(f"eps must lie in (0, 0.5], got {self.eps}")
-
-    def rate(self) -> float:
-        return float(fbl_rate(self.gamma, self.m_cu, self.eps))
-
-
-class RateShape(NamedTuple):
-    increasing: bool
-    concave: bool
-
-
-def check_rate_shape(point: FblPoint, step: float, tol: float = 1e-12) -> RateShape:
-    """Probe monotonicity and concavity of the rate in SNR at one point.
-
-    Central finite differences with spacing ``step``: increasing means the
-    first difference is positive, concave means the second difference does
-    not exceed ``tol`` (absorbs rounding noise in the cancellation).
-    """
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    g = point.gamma
-    lo = max(g - step, 0.0)
-    f_lo = fbl_rate(lo, point.m_cu, point.eps)
-    f_mid = fbl_rate(g, point.m_cu, point.eps)
-    f_hi = fbl_rate(g + step, point.m_cu, point.eps)
-    first = f_hi - f_lo
-    second = f_hi - 2.0 * f_mid + f_lo
-    return RateShape(increasing=bool(first > 0.0), concave=bool(second <= tol))

@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .capacity import EcPoint, _kernel, effective_capacity, node_capacity_fn
+from .capacity import EcPoint, _kernel, effective_capacity
 from .channel import ChannelSamples
 from .link import NODES, PowerAllocation, RelayMode, SystemParams, optimal_relay_power_fd, sinr_fd
 
@@ -191,8 +191,7 @@ def maximize_unimodal(
     tol: float,
     x0: Optional[float] = None,
     grad_tol: Optional[float] = None,
-    full_output: bool = False,
-):
+) -> tuple[float, float]:
     """Golden-section maximization of a unimodal scalar function.
 
     Shrinks a bracket on [lo, hi] until its width drops below ``tol`` and
@@ -203,14 +202,9 @@ def maximize_unimodal(
     basin.  ``grad_tol``, when given, additionally requires the last
     two-point slope estimate to fall below it before stopping.  Non-finite
     inputs and ``tol <= 0`` raise ``ValueError``.
-
-    With ``full_output`` the return value is
-    (argmax, max, iterations, evaluations, probes).
     """
     _check_search(lo, hi, tol, x0)
     res = _drive(_line_search(lo, hi, tol, x0, grad_tol), f)
-    if full_output:
-        return res.x, res.fx, res.iterations, res.evals, res.probes
     return res.x, res.fx
 
 
@@ -226,15 +220,6 @@ def _has_interior_valley(probes: Sequence[tuple[float, float]]) -> bool:
     cut = 1e-12 * (max(map(abs, fs)) or 1.0)
     rises = [b > a for a, b in zip(fs, fs[1:]) if abs(b - a) > cut]
     return any(after and not before for before, after in zip(rises, rises[1:]))
-
-
-def warm_start_relay_power(
-    mode: RelayMode, samples: ChannelSamples, params: SystemParams
-) -> float:
-    """Priority-weighted blend of the closed-form single-node optima,
-    evaluated at the sample-mean gains."""
-    p_a, p_b = _single_node_optima(mode, samples.mean_gains(), params)
-    return params.w * p_a + (1.0 - params.w) * p_b
 
 
 def _single_node_optima(mode: RelayMode, gains: tuple[float, float], params: SystemParams) -> tuple[float, float]:
@@ -280,7 +265,7 @@ def _solve_weights(
                 values.append(weights[i] * r_ea + (1.0 - weights[i]) * r_eb)
             return values
 
-        # Warm started at the closed-form blend of warm_start_relay_power.
+        # Warm started at the weight's blend of the closed-form single-node optima.
         searches = [
             _line_search(0.0, params.p_tot, tol, w * p_a + (1.0 - w) * p_b if x0 is None else x0, 0.1)
             for w in weights
@@ -416,13 +401,6 @@ def _dominance_mask(points: Sequence[EcPoint], tol: float) -> list[bool]:
     ]
 
 
-def filter_dominated(points: Sequence[EcPoint], tol: float = DOMINANCE_TOL) -> tuple[EcPoint, ...]:
-    """Drop every point that another point beats on both capacities by
-    more than ``tol``."""
-    mask = _dominance_mask(points, tol)
-    return tuple(p for p, keep in zip(points, mask) if keep)
-
-
 def pareto_weighted(
     mode: RelayMode,
     samples: ChannelSamples,
@@ -492,12 +470,14 @@ def pareto_epsilon_constraint(
     if not all(math.isfinite(mu) for mu in mu_grid):
         raise ValueError(f"floors must be finite, got {tuple(mu_grid)}")
     tol = line_search_tolerance(params)
-    eb_at, _ = _kernel(mode, samples, params, ("B",))
+    p_a, p_b = _single_node_optima(mode, samples.mean_gains(), params)
 
-    x_peak, eb_peak = maximize_unimodal(
-        lambda x: eb_at([x])[0][0], 0.0, params.p_tot, tol,
-        x0=warm_start_relay_power(mode, samples, params.with_(w=0.0)),
-    )
+    def peak(capacities, x0: float) -> tuple[float, float]:
+        """A one-node capacity's peak, searched from its closed-form optimum."""
+        return maximize_unimodal(lambda x: capacities([x])[0][0], 0.0, params.p_tot, tol, x0=x0)
+
+    eb_at, _ = _kernel(mode, samples, params, ("B",))
+    x_peak, eb_peak = peak(eb_at, p_b)
     ends = [(x, eb) for x, [eb] in zip((0.0, params.p_tot), eb_at([0.0, params.p_tot]))]
     feasible_mu = [float(mu) for mu in mu_grid if mu <= eb_peak]
     # One crossing per floor and end below it, run side by side.
@@ -516,10 +496,7 @@ def pareto_epsilon_constraint(
             xs.append(x_peak)
             continue
         if x_a is None:
-            x_a, _ = maximize_unimodal(
-                node_capacity_fn(mode, samples, params, "A"), 0.0, params.p_tot, tol,
-                x0=warm_start_relay_power(mode, samples, params.with_(w=1.0)),
-            )
+            x_a, _ = peak(_kernel(mode, samples, params, ("A",))[0], p_a)
         xs.append(min(max(x_a, left), right))
 
     points = [

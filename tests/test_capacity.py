@@ -23,10 +23,8 @@ from relayec import (
     save_csv,
     sinr_fd,
     snr_hd,
-    surrogate_objective,
-    weighted_objective_exact,
 )
-from relayec.capacity import _BLOCK, _kernel, node_capacity_fn, surrogate_objective_fn, weighted_objective_fn
+from relayec.capacity import _BLOCK, _kernel
 
 # frozen independently (bisection on the Gaussian tail at 40 digits)
 QINV = {1e-4: 3.7190164854556805644, 1e-2: 2.3263478740408408034}
@@ -187,19 +185,26 @@ class TestEffectiveCapacity:
             ChannelSamples(h_a=np.array([]), h_b=np.array([]))
 
 
+def weighted_sum(mode, samples, params, p_r):
+    """The exact solver's objective, w R_EA + (1-w) R_EB, from a one-row call."""
+    [(r_ea, r_eb)] = _kernel(mode, samples, params, ("A", "B"))[0]([p_r])
+    return params.w * r_ea + (1.0 - params.w) * r_eb
+
+
+def tau(mode, samples, params, p_r):
+    """The min-max surrogate from a one-row call."""
+    return _kernel(mode, samples, params, ("A", "B"))[1]([p_r], [params.w])[0]
+
+
 class TestWeightedObjective:
     def test_pure_node_weights(self):
         s = reference_samples(300)
         alloc = PowerAllocation.from_relay_power(350.0, 1000.0)
         for mode in RelayMode:
             p1 = SystemParams.reference(w=1.0)
-            assert weighted_objective_exact(mode, s, p1, alloc) == -effective_capacity(
-                mode, s, p1, alloc, "A"
-            )
+            assert weighted_sum(mode, s, p1, alloc.p_r) == effective_capacity(mode, s, p1, alloc, "A")
             p0 = SystemParams.reference(w=0.0)
-            assert weighted_objective_exact(mode, s, p0, alloc) == -effective_capacity(
-                mode, s, p0, alloc, "B"
-            )
+            assert weighted_sum(mode, s, p0, alloc.p_r) == effective_capacity(mode, s, p0, alloc, "B")
 
     def test_identity_with_capacities(self):
         s = reference_samples(400)
@@ -208,7 +213,7 @@ class TestWeightedObjective:
                 p = SystemParams.reference(w=w)
                 for p_r in (50.0, 400.0, 950.0):
                     alloc = PowerAllocation.from_relay_power(p_r, p.p_tot)
-                    j = weighted_objective_exact(mode, s, p, alloc)
+                    j = -weighted_sum(mode, s, p, p_r)
                     ea = effective_capacity(mode, s, p, alloc, "A")
                     eb = effective_capacity(mode, s, p, alloc, "B")
                     assert abs(j + w * ea + (1.0 - w) * eb) <= 1e-12
@@ -222,14 +227,13 @@ class TestSurrogateObjective:
         r_a = per_sample_rates(RelayMode.HD, s, p, alloc, "A")[0]
         r_b = per_sample_rates(RelayMode.HD, s, p, alloc, "B")[0]
         want = -(0.3 / 2.0) * r_a - (0.7 / 2.0) * r_b
-        assert surrogate_objective(RelayMode.HD, s, p, alloc) == pytest.approx(want, rel=1e-12)
+        assert tau(RelayMode.HD, s, p, alloc.p_r) == pytest.approx(want, rel=1e-12)
 
     def test_zero_relay_power_single_node(self):
         p = SystemParams.reference(w=1.0)
         s = reference_samples(200)
-        alloc = PowerAllocation.from_relay_power(0.0, p.p_tot)
         r0 = fbl_rate(0.0, p.m / 2.0, p.eps_a)
-        assert surrogate_objective(RelayMode.HD, s, p, alloc) == pytest.approx(-0.5 * r0, rel=1e-12)
+        assert tau(RelayMode.HD, s, p, 0.0) == pytest.approx(-0.5 * r0, rel=1e-12)
 
     def test_matches_loop_oracle(self):
         p = SystemParams.reference(w=0.4)
@@ -241,7 +245,7 @@ class TestSurrogateObjective:
             best = max(
                 -(p.w / 2.0) * ra - ((1.0 - p.w) / 2.0) * rb for ra, rb in zip(r_a, r_b)
             )
-            assert surrogate_objective(mode, s, p, alloc) == pytest.approx(best, rel=1e-12)
+            assert tau(mode, s, p, alloc.p_r) == pytest.approx(best, rel=1e-12)
 
 
 class TestEcPoint:
@@ -314,14 +318,13 @@ class TestBlockedKernel:
         s = reference_samples(n, seed=13)
         for mode in RelayMode:
             p = SystemParams.reference(w=0.3)
-            cap = {node: node_capacity_fn(mode, s, p, node) for node in ("A", "B")}
-            objective = weighted_objective_fn(mode, s, p)
+            cap = {node: _kernel(mode, s, p, (node,))[0] for node in ("A", "B")}
             for p_r in (0.0, 123.4, 650.0, p.p_tot):
                 alloc = PowerAllocation.from_relay_power(p_r, p.p_tot)
                 pt = ec_point(mode, s, p, alloc)
                 for node, in_point in (("A", pt.r_ea), ("B", pt.r_eb)):
-                    assert cap[node](p_r) == effective_capacity(mode, s, p, alloc, node) == in_point
-                assert -objective(p_r) == p.w * pt.r_ea + (1.0 - p.w) * pt.r_eb
+                    assert cap[node]([p_r])[0][0] == effective_capacity(mode, s, p, alloc, node) == in_point
+                assert weighted_sum(mode, s, p, p_r) == p.w * pt.r_ea + (1.0 - p.w) * pt.r_eb
                 for node in ("A", "B"):
                     assert np.array_equal(snr_hd(alloc, s.h_a, s.h_b, node), sinr_fd(alloc, 0.0, s.h_a, s.h_b, node))
 
@@ -364,7 +367,7 @@ class TestBatchedKernel:
         assert explicit == [[pt.r_ea, pt.r_eb] for pt in (ec_point(mode, s, p, a) for a in allocs)]
         ws = [float(w) for w in np.random.default_rng(k).random(k)]
         taus = _kernel(mode, s, p, ("A", "B"))[1](xs, ws)
-        assert taus == [surrogate_objective_fn(mode, s, p.with_(w=w))(x) for x, w in zip(xs, ws)]
+        assert taus == [tau(mode, s, p.with_(w=w), x) for x, w in zip(xs, ws)]
 
 
 def test_batched_memory_stays_in_blocks():

@@ -4,17 +4,21 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relayec.cli as cli
+from relayec import RelayMode, sample_channels, solve_approx, solve_exact
 from relayec.cli import (
+    FIGURES,
     ConfigError,
     ExperimentConfig,
+    _build_parser,
     emit_table,
-    fig2_rows,
-    fig3_rows,
+    figure_rows,
     load_config,
     main,
     run_bench,
@@ -78,6 +82,10 @@ class TestConfig:
             ExperimentConfig(samples=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(seed=-1)
+        for grid in ((-1.0, 500.0), (0.0, 1000.5)):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(sweep_param="p_r", sweep_values=grid)
+        ExperimentConfig(sweep_param="p_r", sweep_values=(0.0, 1000.0))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -171,6 +179,36 @@ class TestRunSweep:
         cfg = small_cfg(sweep_param="w", sweep_values=(0.2, 0.8), method="approx")
         assert run_sweep(cfg) == run_sweep(cfg)
 
+    @pytest.mark.parametrize("grid", [(0.5, 1.5), (-0.1, 0.5)])
+    def test_weight_outside_unit_interval_rejected_before_solving(self, monkeypatch, grid):
+        calls = []
+        monkeypatch.setattr(cli, "_solve_weights", lambda *args: calls.append(args))
+        with pytest.raises(ConfigError):
+            run_sweep(small_cfg(sweep_param="w", sweep_values=grid))
+        assert calls == []
+
+    @pytest.mark.parametrize("mode, gamma_t_a", [("hd", 600.0), ("fd", 15.0)])
+    @pytest.mark.parametrize("method", ["exact", "approx"])
+    def test_weight_axis_rows_match_single_solves(self, mode, gamma_t_a, method):
+        # node A's operating SNR grows with its weight and crosses its
+        # threshold, so the batch holds silenced and unsilenced solves
+        cfg = small_cfg(
+            mode=mode, method=method, d_a=0.3, gamma_t_a=gamma_t_a,
+            sweep_param="w", sweep_values=tuple(np.linspace(0.0, 1.0, 11)),
+        )
+        rows = run_sweep(cfg)
+        samples = sample_channels(cfg.system_params().geom, cfg.samples, cfg.seed)
+        solver = solve_exact if method == "exact" else solve_approx
+        silenced = set()
+        for row in rows:
+            params = replace(cfg, w=row["sweep_value"]).system_params()
+            report = solver(RelayMode(mode), samples, params)
+            silenced.add(row["silenced"])
+            assert (row["p_r"], row["r_ea"], row["r_eb"]) == (report.alloc.p_r, report.ec.r_ea, report.ec.r_eb)
+            assert row["silenced"] == (report.silenced or "") and row["degenerate"] == report.degenerate
+            assert (row["iterations"], row["objective_evals"]) == (report.iterations, report.objective_evals)
+        assert silenced == {"", "A"}
+
     def test_weight_sweep_flat_at_midpoint(self):
         # symmetric placement: the weighted sum barely moves with the weight
         cfg = small_cfg(
@@ -190,7 +228,7 @@ class TestFigures:
             sweep_param="p_r",
             sweep_values=tuple(np.linspace(1.0, 999.0, 40)),
         )
-        rows = fig2_rows(cfg)
+        rows = figure_rows("fig2", cfg)
         argmax = {}
         for d_a in (0.1, 0.5, 0.8):
             curve = [r for r in rows if r["d_a"] == d_a]
@@ -205,7 +243,7 @@ class TestFigures:
             sweep_values=tuple(np.linspace(1.0, 999.0, 60)),
             d_a=0.1,
         )
-        rows = fig3_rows(cfg)
+        rows = figure_rows("fig3", cfg)
         for omega in (0.1, 0.3, 0.5):
             curve = np.array([r["r_ea"] for r in rows if r["omega"] == omega])
             d = np.diff(curve)
@@ -317,6 +355,37 @@ class TestMain:
             row = next(csv.DictReader(fh))
         assert row["m"] == "100" and row["d_a"] == "0.5"
         assert row["samples"] == "40"  # run controls stay
+
+    def test_subcommand_help_lines(self):
+        text = _build_parser().format_help()
+        for name in (*FIGURES, "fig8", "bench"):
+            line = next(line for line in text.splitlines() if line.split()[:1] == [name])
+            assert len(line.split()) > 1, name
+
+    def test_out_of_range_relay_power_from_file(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("sweep_param = p_r\nsweep_values = 0,2000\n")
+        out = tmp_path / "x.csv"
+        assert main(["fig2", "--config", str(cfgfile), "--samples", "40", "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, flags, d_a",
+        [
+            ("", ["--paper-defaults"], "0.1"),
+            ("d_a = 0.3\n", [], "0.3"),
+            ("d_a = 0.3\n", ["--paper-defaults"], "0.5"),
+        ],
+    )
+    def test_fig3_default_placement_precedence(self, tmp_path, text, flags, d_a):
+        # fig3's d_a = 0.1 yields to a config file's d_a, not to --paper-defaults
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(text + "samples = 40\n")
+        out = tmp_path / "f3.csv"
+        assert main(["fig3", "--config", str(cfgfile), *flags, "--out", str(out)]) == 0
+        with out.open() as fh:
+            assert {row["d_a"] for row in csv.DictReader(fh)} == {d_a}
 
     def test_fig3_defaults_near_node_a(self, tmp_path):
         out = tmp_path / "f3.json"

@@ -6,7 +6,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relayec import FblPoint, check_rate_shape, fbl_rate, inverse_q, q_tail
+from relayec import fbl_rate, inverse_q, q_tail
 
 LOG2E = math.log2(math.e)
 
@@ -196,27 +196,10 @@ class TestFblRate:
                 fbl_rate(gamma, m_cu, 1e-4)
 
 
-class TestFblPoint:
-    def test_rate_matches_function(self):
-        p = FblPoint(gamma=4.0, m_cu=150, eps=1e-3)
-        assert p.rate() == fbl_rate(4.0, 150, 1e-3)
-
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            FblPoint(gamma=-1.0, m_cu=100, eps=1e-4)
-        with pytest.raises(ValueError):
-            FblPoint(gamma=1.0, m_cu=0, eps=1e-4)
-        with pytest.raises(ValueError):
-            FblPoint(gamma=1.0, m_cu=100, eps=0.6)
-
-
 class TestRateShape:
     def test_reference_points(self):
-        assert check_rate_shape(FblPoint(5.0, 200, 1e-4), step=1e-3) == (True, True)
-        assert check_rate_shape(FblPoint(2.0, 1000, 1e-2), step=1e-3) == (True, True)
-        # eps = 0.5 reduces to pure log2(1 + gamma)
-        assert check_rate_shape(FblPoint(1000.0, 100, 0.5), step=1e-2) == (True, True)
-
-    def test_step_domain(self):
-        with pytest.raises(ValueError):
-            check_rate_shape(FblPoint(5.0, 200, 1e-4), step=0.0)
+        # increasing and concave in the SNR: central differences, with the
+        # second allowed 1e-12 of rounding noise from the cancellation
+        for gamma, m_cu, eps, step in ((5.0, 200, 1e-4, 1e-3), (2.0, 1000, 1e-2, 1e-3), (1000.0, 100, 0.5, 1e-2)):
+            lo, mid, hi = (fbl_rate(g, m_cu, eps) for g in (gamma - step, gamma, gamma + step))
+            assert hi - lo > 0.0 and hi - 2.0 * mid + lo <= 1e-12, (gamma, m_cu, eps)

@@ -17,7 +17,6 @@ from relayec import (
     ec_point,
     effective_capacity,
     fbl_rate,
-    filter_dominated,
     maximize_unimodal,
     optimal_relay_power_hd,
     pareto_epsilon_constraint,
@@ -28,11 +27,19 @@ from relayec import (
     solve_approx,
     solve_exact,
     threshold_roots_hd,
-    warm_start_relay_power,
 )
 import relayec.solver as solver_module
-from relayec.capacity import weighted_objective_fn
-from relayec.solver import SolveMethod, _crossing, _drive, line_search_tolerance
+from relayec.capacity import _kernel
+from relayec.solver import (
+    DOMINANCE_TOL,
+    SolveMethod,
+    _crossing,
+    _dominance_mask,
+    _drive,
+    _line_search,
+    _single_node_optima,
+    line_search_tolerance,
+)
 
 
 def reference_samples(n=400, seed=7, d_a=0.5):
@@ -85,11 +92,10 @@ class TestMaximizeUnimodal:
         assert abs(x - x_grid) <= p.p_tot / (grid.size - 1) + 1e-6 * p.p_tot
 
     def test_full_output_counts(self):
-        x, fx, iters, evals, probes = maximize_unimodal(
-            lambda x: -((x - 3.0) ** 2), 0.0, 10.0, tol=1e-6, full_output=True
-        )
-        assert iters >= 1 and evals >= iters
-        assert len(probes) == evals
+        res = _drive(_line_search(0.0, 10.0, 1e-6, None, None), lambda x: -((x - 3.0) ** 2))
+        assert (res.x, res.fx) == maximize_unimodal(lambda x: -((x - 3.0) ** 2), 0.0, 10.0, tol=1e-6)
+        assert res.iterations >= 1 and res.evals >= res.iterations
+        assert len(res.probes) == res.evals
 
     @pytest.mark.parametrize(
         "lo, hi, tol, x0",
@@ -366,19 +372,23 @@ class TestLockstep:
         front = pareto_weighted(RelayMode.FD, s, p, ws, method=SolveMethod.EXACT)
         assert front.parameter_grid == ws
         for w, point in zip(ws, front.points):
-            # the fallback written out on the scalar closures: search, grid scan, refine
-            objective = weighted_objective_fn(RelayMode.FD, s, p.with_(w=w))
-            f = lambda x: -objective(x)
-            x0 = warm_start_relay_power(RelayMode.FD, s, p.with_(w=w))
-            _, _, iters, evals, _ = maximize_unimodal(f, 0.0, p.p_tot, tol, x0=x0, grad_tol=0.1, full_output=True)
+            # the fallback written out on one-row calls: search, grid scan, refine
+            capacities = _kernel(RelayMode.FD, s, p, ("A", "B"))[0]
+
+            def f(x):
+                [(r_ea, r_eb)] = capacities([x])
+                return w * r_ea + (1.0 - w) * r_eb
+
+            p_a, p_b = _single_node_optima(RelayMode.FD, s.mean_gains(), p)
+            first = _drive(_line_search(0.0, p.p_tot, tol, w * p_a + (1.0 - w) * p_b, 0.1), f)
             grid = np.linspace(0.0, p.p_tot, 1024)
             k = int(np.argmax([f(g) for g in grid]))
-            x, _, r_iters, r_evals, _ = maximize_unimodal(
-                f, grid[max(k - 1, 0)], grid[min(k + 1, 1023)], tol, grad_tol=0.1, full_output=True
-            )
+            refine = _drive(_line_search(grid[max(k - 1, 0)], grid[min(k + 1, 1023)], tol, None, 0.1), f)
             report = solve_exact(RelayMode.FD, s, p.with_(w=w))
-            assert report.alloc.p_r == x
-            assert (report.iterations, report.objective_evals) == (iters + r_iters + 1, evals + 1024 + r_evals)
+            assert report.alloc.p_r == refine.x
+            assert (report.iterations, report.objective_evals) == (
+                first.iterations + refine.iterations + 1, first.evals + 1024 + refine.evals
+            )
             assert report.ec == ec_point(RelayMode.FD, s, p, report.alloc) == point
 
 
@@ -471,14 +481,12 @@ class TestFilterDominated:
             EcPoint(0.5, 4.0, a),  # dominated by the first
             EcPoint(5.0, 1.0, a),
         ]
-        kept = filter_dominated(pts)
-        assert EcPoint(0.5, 4.0, a) not in kept
-        assert len(kept) == 3
+        assert _dominance_mask(pts, DOMINANCE_TOL) == [True, True, False, True]
 
     def test_keeps_ties_within_tolerance(self):
         a = PowerAllocation(1.0, 1.0)
         pts = [EcPoint(1.0, 1.0, a), EcPoint(1.0 + 1e-7, 1.0 + 1e-7, a)]
-        assert len(filter_dominated(pts)) == 2
+        assert _dominance_mask(pts, DOMINANCE_TOL) == [True, True]
 
 
 class TestValleyDetector:
@@ -529,4 +537,5 @@ class TestWarmStart:
         want = 0.25 * optimal_relay_power_hd(ha, hb, p.p_tot, "A") + 0.75 * optimal_relay_power_hd(
             ha, hb, p.p_tot, "B"
         )
-        assert warm_start_relay_power(RelayMode.HD, s, p) == pytest.approx(want, rel=1e-12)
+        p_a, p_b = _single_node_optima(RelayMode.HD, s.mean_gains(), p)
+        assert p.w * p_a + (1.0 - p.w) * p_b == pytest.approx(want, rel=1e-12)
