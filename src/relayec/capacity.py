@@ -26,9 +26,13 @@ When the samples fit one block (n <= ``_BLOCK``), every pass reuses it, so
 H_A H_B and H_A + H_B are computed once; for two nodes they, the own gains
 and the rate's per-node scale are laid out as full (nodes, n) rows, and a
 one-row pass finishes both nodes' SINRs and rates in ufunc calls that
-broadcast nothing.  Above one block these would be n-sized arrays held per
-kernel, so each pass forms the products in its block buffer instead, and
-memory stays a few blocks.
+broadcast nothing.  A pass of k > 1 rows instead forms the node-symmetric
+SINR pieces num and common once per row, as (k, n) from one H_A H_B and
+one H_A + H_B row, and broadcasts them over the node axis to finish both
+nodes' SINRs in (nodes, k, n); the same operations run on the same values,
+so both layouts agree bit for bit.  Above one block these would be
+n-sized arrays held per kernel, so each pass forms the products in its
+block buffer instead, and memory stays a few blocks.
 
 ``effective_capacity`` and ``ec_point`` are its one-row case; the
 solvers evaluate many line-search probes per call.  Neither a node's capacity nor a row's
@@ -133,7 +137,9 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
     A pass covers k rows and a block of samples in one (nodes, k, samples)
     array, with no node axis for one node and no k axis for one row, of a
     buffer sized at the largest chunk served; k times the block's samples
-    stays within ``_BLOCK`` for any n, K."""
+    stays within ``_BLOCK`` for any n, K.  Its SINR pieces num and common
+    are (k, samples) rows shared by the nodes, except on a one-row pass
+    over the hoisted two-node layout, which holds them per node."""
     m_cu, c = rate_blocklength(params, mode), exponent_blocklength(params, mode)
     bonus = rate_blocklength_bonus(m_cu)
     terms = [_node_terms(samples, params, node, m_cu, c) for node in nodes]
@@ -175,15 +181,20 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
         buf = bufs[:, :k] if k > 1 else bufs[:, 0]
         # only one block serves k > 1 rows; its node-axis arrays get a k axis
         spread = (lambda a: a[:, None]) if k > 1 and lanes > 1 else (lambda a: a)
+        fused = shared > 1 and k == 1  # num and common per node (module docstring)
         cached[k] = []
         for g1, g2, own in blocks:
             sub = buf[..., : g1.shape[-1]]
-            num, common = (sub[0], sub[1]) if shared == 1 else (sub[:lanes], sub[lanes : 2 * lanes])
-            gamma, tmp = (sub[2 * shared :], sub[:lanes]) if lanes > 1 else (sub[2], sub[0])
+            if fused:
+                num, common, gamma = sub[:lanes], sub[lanes : 2 * lanes], sub[2 * lanes :]
+            else:  # one num and common row per relay power, shared by the nodes
+                num, common, gamma = sub[0], sub[1], sub[2 : 2 + lanes] if lanes > 1 else sub[2]
+                if shared > 1:  # from one gain product and sum row
+                    g1, g2 = g1[0], g2[0]
+            tmp = sub[:lanes] if lanes > 1 else sub[0]
             # each node's SINR from the shared pieces: one step on the node axis, or one per node
             steps = [(spread(own), gamma)] if hoisted else list(zip(own, gamma if lanes > 1 else [gamma]))
-            consts = spread(qscale), spread(neg_c_theta)
-            cached[k].append((spread(g1), spread(g2), num, common, steps, gamma, tmp, *consts))
+            cached[k].append((g1, g2, num, common, steps, gamma, tmp, spread(qscale), spread(neg_c_theta)))
         return cached[k]
 
     def rates(p_r, p):

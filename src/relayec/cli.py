@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -97,7 +98,7 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         values = [(f.name, getattr(self, f.name)) for f in fields(self)]
         for name, v in values + [("sweep_values", x) for x in self.sweep_values]:
-            if isinstance(v, float) and not np.isfinite(v):
+            if isinstance(v, float) and not math.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v}")
         if self.sweep_values and list(self.sweep_values) != sorted(self.sweep_values):
             raise ConfigError("sweep_values must be sorted ascending")

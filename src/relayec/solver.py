@@ -11,7 +11,10 @@ and a funnel where every SNR collapses to zero yet the blocklength term
 keeps the rate positive), so the search is deliberately local around the
 closed-form warm start.  Frontier tracing runs either solver across a
 weight grid, or maximizes one node's capacity under a floor on the other,
-with one peak search per node and a bracketing secant per floor crossing.
+with one peak search per node and a bracketing secant per floor crossing
+that can bind: the crossing on node A's side of node B's peak, and the
+far one only for a floor whose interval may be narrower than the
+tolerance.
 
 Every search is a generator that yields its next probe and takes the value
 back, so many run in lockstep: each round gathers every unfinished search's
@@ -431,12 +434,16 @@ def _crossing(x_bad: float, f_bad: float, x_good: float, f_good: float, tol: flo
 
     Illinois regula falsi: probes at the secant root, held tol/2 inside
     the bracket so that a probe next to the root closes it from the far
-    side; an end kept twice in a row has its value halved.
+    side; an end kept twice in a row has its value halved.  When the good
+    end has just moved onto a zero of f (a plateau at the floor), the
+    secant root is that end itself, so the probe bisects instead of
+    creeping by tol/2 while the bad value halves towards zero.
     """
     last = 0
     while abs(x_good - x_bad) > tol:
         h = 0.5 * tol / abs(x_good - x_bad)
-        x = x_good + min(max(f_good / (f_good - f_bad), h), 1.0 - h) * (x_bad - x_good)
+        frac = 0.5 if last > 0 and f_good == 0.0 else f_good / (f_good - f_bad)
+        x = x_good + min(max(frac, h), 1.0 - h) * (x_bad - x_good)
         fx = yield x
         if fx >= 0.0:
             if last > 0:
@@ -459,11 +466,15 @@ def pareto_epsilon_constraint(
     node B's.
 
     Node B's capacity is single-peaked in relay power, so each feasible
-    floor cuts out one interval; its ends are located by :func:`_crossing`
-    from the peak outwards, every floor's crossings in lockstep.  Node A's
-    capacity is single-peaked too, so its maximum inside is its peak,
-    searched once per call, clipped into the interval.  Floors above the
-    attainable maximum are skipped and reported.
+    floor cuts out one interval [left, right] around B's peak x_peak.  Node
+    A's capacity is single-peaked too, so its maximum inside is its peak
+    x_A, searched once per call, clipped into the interval; an interval
+    no wider than ``tol`` gives x_peak instead.  The clip reads only the
+    end on x_A's side of x_peak, so only that end is located by
+    :func:`_crossing` from the peak outwards, every floor's in lockstep.
+    The interval can be that narrow only when this end lies within ``tol``
+    of x_peak, so the far end is located for those floors alone.  Floors
+    above the attainable maximum are skipped and reported.
     """
     if len(mu_grid) == 0:
         raise ValueError("mu_grid must not be empty")
@@ -480,24 +491,31 @@ def pareto_epsilon_constraint(
     x_peak, eb_peak = peak(eb_at, p_b)
     ends = [(x, eb) for x, [eb] in zip((0.0, params.p_tot), eb_at([0.0, params.p_tot]))]
     feasible_mu = [float(mu) for mu in mu_grid if mu <= eb_peak]
-    # One crossing per floor and end below it, run side by side.
-    cuts = [(mu, x_end, eb_end) for mu in feasible_mu for x_end, eb_end in ends if eb_end < mu]
-    found = _lockstep(
-        [_crossing(x_end, eb_end - mu, x_peak, eb_peak - mu, tol) for mu, x_end, eb_end in cuts],
-        lambda rows, xs: [eb - cuts[r][0] for r, [eb] in zip(rows, eb_at(xs))],
-    )
-    crossings = iter(found)
-    del eb_at  # frees node B's pass buffers before the two-node pass below
-    x_a = None
+
+    def edges(mus: list, end: int) -> list:
+        """Each floor's interval end on the side of ``ends[end]``: that end
+        where it meets the floor, else a crossing, all run side by side."""
+        x_end, eb_end = ends[end]
+        below = [mu for mu in mus if eb_end < mu]
+        found = iter(_lockstep(
+            [_crossing(x_end, eb_end - mu, x_peak, eb_peak - mu, tol) for mu in below],
+            lambda rows, xs: [eb - below[r] for r, [eb] in zip(rows, eb_at(xs))],
+        ))
+        return [x_end if eb_end >= mu else next(found) for mu in mus]
+
     xs = []
-    for mu in feasible_mu:
-        left, right = (x_end if eb_end >= mu else next(crossings) for x_end, eb_end in ends)
-        if right - left <= tol:
-            xs.append(x_peak)
-            continue
-        if x_a is None:
-            x_a, _ = peak(_kernel(mode, samples, params, ("A",))[0], p_a)
-        xs.append(min(max(x_a, left), right))
+    if feasible_mu:
+        x_a, _ = peak(_kernel(mode, samples, params, ("A",))[0], p_a)
+        near = int(x_a >= x_peak)  # the side of x_peak the clip reads
+        # a far end left at the budget's end clips x_A alike
+        bounds = [[0.0, params.p_tot] for _ in feasible_mu]
+        for b, x in zip(bounds, edges(feasible_mu, near)):
+            b[near] = x
+        narrow = [i for i, b in enumerate(bounds) if abs(b[near] - x_peak) <= tol]
+        for i, x in zip(narrow, edges([feasible_mu[i] for i in narrow], 1 - near)):
+            bounds[i][1 - near] = x
+        xs = [x_peak if right - left <= tol else min(max(x_a, left), right) for left, right in bounds]
+    del eb_at  # frees node B's pass buffers before the two-node pass below
 
     points = [
         EcPoint(r_ea=r_ea, r_eb=r_eb, alloc=PowerAllocation.from_relay_power(x, params.p_tot))

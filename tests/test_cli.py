@@ -102,6 +102,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(**kwargs)
 
+    def test_numpy_nan_sweep_value_rejected(self):
+        with pytest.raises(ConfigError, match="sweep_values must be finite"):
+            ExperimentConfig(sweep_param="d_a", sweep_values=(0.2, np.float64("nan")))
+
 
 class TestEmitTable:
     ROWS = [
@@ -401,3 +405,13 @@ class TestMain:
         with out.open() as fh:
             row = next(csv.DictReader(fh))
         assert row["d_a"] == "0.9"
+
+    def test_fig8_with_capacity_at_its_ceiling(self, tmp_path):
+        # at theta = 0.1 node B's capacity saturates at -ln(eps_b) / (m theta_b),
+        # so the top floor equals its peak on a plateau
+        cfgfile = tmp_path / "plateau.cfg"
+        cfgfile.write_text("theta_a = 0.1\ntheta_b = 0.1\n")
+        out = tmp_path / "f8.csv"
+        assert main(["fig8", "--config", str(cfgfile), "--samples", "5", "--seed", "7", "--out", str(out)]) == 0
+        with out.open() as fh:
+            assert len(list(csv.DictReader(fh))) > 0

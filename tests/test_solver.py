@@ -418,6 +418,8 @@ class TestParetoEpsilonConstraint:
         front = pareto_epsilon_constraint(RelayMode.FD, s, p, (0.0, 1e6))
         assert front.infeasible == (1e6,)
         assert len(front.points) == 1
+        none = pareto_epsilon_constraint(RelayMode.FD, s, p, (1e6,))
+        assert (none.points, none.parameter_grid, none.infeasible) == ((), (), (1e6,))
 
     def test_constraint_holds_on_frontier(self):
         s = reference_samples(400, d_a=0.2)
@@ -450,6 +452,92 @@ class TestParetoEpsilonConstraint:
         assert by_floor(shuffled) == want
         assert by_floor(mus[::-1] + mus) == want
 
+    @pytest.mark.parametrize("d_a", [0.3, 0.7])  # x_A on either side of node B's peak
+    @pytest.mark.parametrize("mode", list(RelayMode))
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_matches_two_sided_oracle(self, mode, d_a, data):
+        s = reference_samples(60, seed=data.draw(st.integers(0, 2**16)), d_a=d_a)
+        p = SystemParams.reference(d_a=d_a, omega=data.draw(st.floats(0.0, 0.1)))
+        trace = FloorTrace(mode, s, p)
+        assert (trace.x_a < trace.x_peak) == (d_a < 0.5)
+        lowest, highest = sorted(trace.eb(x) for x in (0.0, p.p_tot))
+        offsets = st.floats(-trace.tol, trace.tol)
+        floor = st.one_of(
+            st.floats(0.0, 1.02 * trace.eb_peak),  # random, a few infeasible
+            st.floats(trace.eb(trace.x_a), trace.eb_peak),  # x_A clipped to the interval
+            st.just(trace.eb_peak),
+            offsets.map(lambda d: trace.eb(trace.x_peak + d)),  # crossings within tol of the peak
+            st.floats(0.0, 1.0).map(lambda u: u * lowest),  # below both ends
+            st.floats(0.0, 1.0).map(lambda u: lowest + u * (highest - lowest)),  # below one end
+        )
+        mus = data.draw(st.lists(floor, min_size=1, max_size=6))
+        mus += data.draw(st.lists(st.sampled_from(mus), max_size=2))  # duplicates
+        front = pareto_epsilon_constraint(mode, s, p, mus)
+        assert (front.points, front.parameter_grid, front.infeasible) == trace.run(mus)
+
+    def test_far_crossing_only_for_narrow_floors(self, monkeypatch):
+        calls = []
+
+        def counted(x_bad, f_bad, x_good, f_good, tol):
+            calls.append((x_bad, f_good))
+            return _crossing(x_bad, f_bad, x_good, f_good, tol)
+
+        monkeypatch.setattr(solver_module, "_crossing", counted)
+        for d_a in (0.3, 0.7):
+            s = reference_samples(200, d_a=d_a)
+            p = SystemParams.reference(d_a=d_a, omega=0.05)
+            trace = FloorTrace(RelayMode.FD, s, p)
+            highest = max(trace.eb(x) for x in (0.0, p.p_tot))
+            mus = [highest + u * (trace.eb_peak - highest) for u in (0.2, 0.5, 0.8)]  # intervals wider than tol
+            near_side = trace.x_a < trace.x_peak
+            calls.clear()
+            pareto_epsilon_constraint(RelayMode.FD, s, p, mus)
+            assert len(calls) == len(mus)
+            assert all((x_bad < trace.x_peak) == near_side for x_bad, _ in calls)
+            calls.clear()
+            pareto_epsilon_constraint(RelayMode.FD, s, p, mus + [trace.eb_peak])
+            assert len(calls) == len(mus) + 2
+            assert sorted(x_bad for x_bad, f_good in calls if f_good == 0.0) == [0.0, p.p_tot]
+
+
+class FloorTrace:
+    """The floor trace written out on one-row calls of one-node kernels,
+    locating both ends of every floor's interval."""
+
+    def __init__(self, mode, samples, params):
+        self.mode, self.samples, self.params = mode, samples, params
+        self.tol = line_search_tolerance(params)
+        self.ea, self.eb = (
+            lambda x, f=_kernel(mode, samples, params, (node,))[0]: f([x])[0][0] for node in ("A", "B")
+        )
+        p_a, p_b = _single_node_optima(mode, samples.mean_gains(), params)
+        self.x_peak, self.eb_peak = maximize_unimodal(self.eb, 0.0, params.p_tot, self.tol, x0=p_b)
+        self.x_a, _ = maximize_unimodal(self.ea, 0.0, params.p_tot, self.tol, x0=p_a)
+
+    def end(self, x_end, mu):
+        eb_end = self.eb(x_end)
+        if eb_end >= mu:
+            return x_end
+        search = _crossing(x_end, eb_end - mu, self.x_peak, self.eb_peak - mu, self.tol)
+        return _drive(search, lambda x: self.eb(x) - mu)
+
+    def run(self, mus):
+        """(points, parameter_grid, infeasible) as pareto_epsilon_constraint reports them."""
+        p_tot = self.params.p_tot
+        feasible = [float(mu) for mu in mus if mu <= self.eb_peak]
+        xs = []
+        for mu in feasible:
+            left, right = self.end(0.0, mu), self.end(p_tot, mu)
+            xs.append(self.x_peak if right - left <= self.tol else min(max(self.x_a, left), right))
+        points = [ec_point(self.mode, self.samples, self.params, PowerAllocation.from_relay_power(x, p_tot)) for x in xs]
+        mask = _dominance_mask(points, DOMINANCE_TOL)
+        return (
+            tuple(pt for pt, keep in zip(points, mask) if keep),
+            tuple(mu for mu, keep in zip(feasible, mask) if keep),
+            tuple(float(mu) for mu in mus if mu > self.eb_peak),
+        )
+
 
 class TestCrossing:
     TOL = 1e-6
@@ -470,6 +558,20 @@ class TestCrossing:
         f = lambda x: x - 1.0
         x = _drive(_crossing(0.0, -1.0, 1.0, 0.0, self.TOL), f)
         assert 1.0 - self.TOL <= x <= 1.0
+
+    @pytest.mark.parametrize("x_bad, x_good", [(1000.0, 300.0), (0.0, 300.0)])
+    def test_plateau_at_floor_bisects(self, x_bad, x_good):
+        # zero on a plateau around the good end, like a capacity saturated at
+        # its ceiling under a floor equal to it: the secant root is the good
+        # end itself, so regula falsi alone would creep by tol/2
+        p_tot, tol = 1000.0, 1e-6 * 1000.0
+        root = x_good + math.copysign(200.0, x_bad - x_good)
+        f = lambda x: min(0.0, 200.0 - abs(x - x_good))
+        calls = []
+        x = _drive(_crossing(x_bad, f(x_bad), x_good, 0.0, tol), lambda x: calls.append(x) or f(x))
+        assert f(x) == 0.0
+        assert abs(x - root) <= tol
+        assert len(calls) <= 2 * math.log2(p_tot / tol)
 
 
 class TestFilterDominated:
