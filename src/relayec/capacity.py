@@ -22,17 +22,14 @@ ln mean exp(z) = Z + ln(sum_b s_b exp(z_b - Z) / n), Z = max_b z_b, so no
 block can overflow or underflow the total (Blanchard, Higham & Higham 2021,
 "Accurately computing the log-sum-exp and softmax functions").
 
-When the samples fit one block (n <= ``_BLOCK``), every pass reuses it, so
-H_A H_B and H_A + H_B are computed once; for two nodes they, the own gains
-and the rate's per-node scale are laid out as full (nodes, n) rows, and a
-one-row pass finishes both nodes' SINRs and rates in ufunc calls that
-broadcast nothing.  A pass of k > 1 rows instead forms the node-symmetric
-SINR pieces num and common once per row, as (k, n) from one H_A H_B and
-one H_A + H_B row, and broadcasts them over the node axis to finish both
-nodes' SINRs in (nodes, k, n); the same operations run on the same values,
-so both layouts agree bit for bit.  Above one block these would be
-n-sized arrays held per kernel, so each pass forms the products in its
-block buffer instead, and memory stays a few blocks.
+Every pass forms the node-symmetric SINR pieces num and common once per
+row, as (k, samples) arrays shared by the nodes, and finishes each node's
+SINR from them in its slice of a (nodes, k, samples) array.  When the
+samples fit one block (n <= ``_BLOCK``), every pass reuses it, so H_A H_B
+and H_A + H_B are computed once, and for two nodes the rate's per-node
+scale is laid out as a full (nodes, n) array.  Above one block the
+products would be n-sized arrays held per kernel, so each pass forms them
+in its block buffer instead, and memory stays a few blocks.
 
 ``effective_capacity`` and ``ec_point`` are its one-row case; the
 solvers evaluate many line-search probes per call.  Neither a node's capacity nor a row's
@@ -138,8 +135,7 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
     array, with no node axis for one node and no k axis for one row, of a
     buffer sized at the largest chunk served; k times the block's samples
     stays within ``_BLOCK`` for any n, K.  Its SINR pieces num and common
-    are (k, samples) rows shared by the nodes, except on a one-row pass
-    over the hoisted two-node layout, which holds them per node."""
+    are (k, samples) arrays shared by the nodes."""
     m_cu, c = rate_blocklength(params, mode), exponent_blocklength(params, mode)
     bonus = rate_blocklength_bonus(m_cu)
     terms = [_node_terms(samples, params, node, m_cu, c) for node in nodes]
@@ -159,20 +155,12 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
             (h_a[lo : lo + width], h_b[lo : lo + width], [t.hr[lo : lo + width] for t in terms])
             for lo in range(0, n, width)
         ]
-    elif lanes == 1:
-        blocks = [(h_a * h_b, h_a + h_b, terms[0].hr)]
-    else:  # full (nodes, n) rows, qscale's too
-        hh, hs, own, qscale_rows = np.empty((4, lanes, width))
-        np.multiply(h_a, h_b, hh)
-        np.add(h_a, h_b, hs)
-        for row, t in zip(own, terms):
-            row[...] = t.hr
-        qscale_rows[...] = qscale
-        qscale = qscale_rows
-        blocks = [(hh, hs, own)]
-    # num and common, per node when fused, then the SINRs; the rate's scratch reuses the first
-    shared = lanes if hoisted else 1
-    bufs = np.empty((2 * shared + lanes, 1, width))
+    else:  # one block; for two nodes qscale as a full (nodes, n) row
+        if lanes > 1:
+            qscale = np.repeat(qscale, width, 1)
+        blocks = [(h_a * h_b, h_a + h_b, [t.hr for t in terms])]
+    # num and common, then the SINRs; the rate's scratch reuses num and common
+    bufs = np.empty((2 + lanes, 1, width))
     node_axis = slice(None) if lanes > 1 else 0
     cached = {}  # rows per pass -> per block: gains, buffer views, per-node constants
 
@@ -181,19 +169,14 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
         buf = bufs[:, :k] if k > 1 else bufs[:, 0]
         # only one block serves k > 1 rows; its node-axis arrays get a k axis
         spread = (lambda a: a[:, None]) if k > 1 and lanes > 1 else (lambda a: a)
-        fused = shared > 1 and k == 1  # num and common per node (module docstring)
         cached[k] = []
         for g1, g2, own in blocks:
             sub = buf[..., : g1.shape[-1]]
-            if fused:
-                num, common, gamma = sub[:lanes], sub[lanes : 2 * lanes], sub[2 * lanes :]
-            else:  # one num and common row per relay power, shared by the nodes
-                num, common, gamma = sub[0], sub[1], sub[2 : 2 + lanes] if lanes > 1 else sub[2]
-                if shared > 1:  # from one gain product and sum row
-                    g1, g2 = g1[0], g2[0]
+            # one num and common row per relay power, shared by the nodes
+            num, common, gamma = sub[0], sub[1], sub[2:] if lanes > 1 else sub[2]
             tmp = sub[:lanes] if lanes > 1 else sub[0]
-            # each node's SINR from the shared pieces: one step on the node axis, or one per node
-            steps = [(spread(own), gamma)] if hoisted else list(zip(own, gamma if lanes > 1 else [gamma]))
+            # each node's SINR from the shared pieces, one node at a time
+            steps = list(zip(own, gamma if lanes > 1 else [gamma]))
             cached[k].append((g1, g2, num, common, steps, gamma, tmp, spread(qscale), spread(neg_c_theta)))
         return cached[k]
 

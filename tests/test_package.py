@@ -23,6 +23,7 @@ def test_demos_run():
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for demo in demos:
-        run = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True)
+        # a demo that hangs fails here, named by the timeout's command line
+        run = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, f"{demo.name}: {run.stderr}"
         assert run.stdout.strip(), demo.name
