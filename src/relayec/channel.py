@@ -4,12 +4,17 @@ Both node-to-relay links fade independently.  A link at distance d from
 the relay has power gain H = E * d**(-alpha) where E is the squared
 magnitude of a unit-variance complex Gaussian coefficient, i.e. an
 Exponential(1) variate.  Node distances satisfy d_a + d_b = 1.
+
+Each link's gains are drawn and finished in place in one float64 array,
+so a sample set peaks at its own 16 bytes per sample; sample sets store
+their gains contiguous, as the blocked capacity kernels read them.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,14 +41,19 @@ class Geometry:
 
 @dataclass(frozen=True)
 class ChannelSamples:
-    """A batch of fading realizations, one gain pair per sample."""
+    """A batch of fading realizations, one gain pair per sample.
+
+    The gains are stored as C-contiguous float64 arrays: an input that
+    already is one is kept without a copy, any other (a strided column, a
+    list) is copied once.
+    """
 
     h_a: np.ndarray
     h_b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "h_a", np.asarray(self.h_a, dtype=float))
-        object.__setattr__(self, "h_b", np.asarray(self.h_b, dtype=float))
+        object.__setattr__(self, "h_a", np.ascontiguousarray(self.h_a, dtype=float))
+        object.__setattr__(self, "h_b", np.ascontiguousarray(self.h_b, dtype=float))
         if self.h_a.shape != self.h_b.shape or self.h_a.ndim != 1:
             raise ValueError("h_a and h_b must be 1-D arrays of equal length")
         if self.h_a.size == 0:
@@ -68,22 +78,24 @@ def sample_channels(geom: Geometry, n: int, seed: int) -> ChannelSamples:
     B link.  Exponential variates come from the inverse CDF, -log(1 - U),
     so the same seed reproduces the same sequence bit for bit.  A draw
     that would underflow to zero gain is clamped to the smallest positive
-    normal double, preserving H > 0.
+    normal double, preserving H > 0.  Each link's uniforms are drawn into
+    the array that becomes its gains and finished there, so the returned
+    arrays are the only full-length allocations.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got n={n}")
     rng = np.random.default_rng(seed)
-    u_a = rng.random(n)
-    u_b = rng.random(n)
-    e_a = -np.log1p(-u_a)
-    e_b = -np.log1p(-u_b)
     tiny = np.finfo(float).tiny
-    e_a[e_a == 0.0] = tiny
-    e_b[e_b == 0.0] = tiny
-    return ChannelSamples(
-        h_a=e_a * geom.d_a ** -geom.alpha,
-        h_b=e_b * geom.d_b ** -geom.alpha,
-    )
+    gains = []
+    for d in (geom.d_a, geom.d_b):
+        h = rng.random(n)
+        np.negative(h, out=h)
+        np.log1p(h, out=h)
+        np.negative(h, out=h)
+        np.maximum(h, tiny, out=h)
+        np.multiply(h, d ** -geom.alpha, out=h)
+        gains.append(h)
+    return ChannelSamples(*gains)
 
 
 def save_csv(samples: ChannelSamples, path) -> None:
@@ -101,15 +113,25 @@ def save_csv(samples: ChannelSamples, path) -> None:
 
 
 def load_csv(path) -> ChannelSamples:
-    """Import a sample set written by :func:`save_csv`."""
+    """Import a sample set written by :func:`save_csv`.
+
+    The header must read ``h_a,h_b`` and every body row must hold two
+    numbers; a ragged or non-numeric row, a ``#`` line, an empty body and
+    any value that :class:`ChannelSamples` rejects all raise ValueError.
+    Blank lines are skipped.  The body is parsed straight into one float
+    array whose columns are copied out contiguous, so peak memory is about
+    twice the result's.
+    """
     path = Path(path)
     with path.open("r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader([fh.readline()]), None)
         if header != ["h_a", "h_b"]:
             raise ValueError(f"unexpected CSV header {header!r}, want ['h_a', 'h_b']")
-        rows = [(float(a), float(b)) for a, b in reader]
-    if not rows:
+        with warnings.catch_warnings():  # loadtxt only warns on an empty body
+            warnings.simplefilter("ignore", UserWarning)
+            arr = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    if arr.size == 0:
         raise ValueError(f"no samples in {path}")
-    arr = np.asarray(rows, dtype=float)
+    if arr.shape[1] != 2:
+        raise ValueError(f"want two columns h_a,h_b in {path}, got {arr.shape[1]}")
     return ChannelSamples(h_a=arr[:, 0], h_b=arr[:, 1])

@@ -1,8 +1,31 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from relayec import ChannelSamples, Geometry, load_csv, sample_channels, save_csv
+from relayec import (
+    ChannelSamples,
+    Geometry,
+    PowerAllocation,
+    RelayMode,
+    SystemParams,
+    ec_point,
+    load_csv,
+    sample_channels,
+    save_csv,
+)
+from relayec.capacity import _BLOCK
+
+
+def traced_peak(fn):
+    """Peak bytes traced by tracemalloc while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestGeometry:
@@ -64,6 +87,37 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_channels(Geometry(d_a=0.5, alpha=4.0), 0, seed=1)
 
+    @pytest.mark.parametrize("n", (1, 17, _BLOCK + 3))
+    @pytest.mark.parametrize("geom", (Geometry(d_a=0.3, alpha=4.0), Geometry(d_a=0.65, alpha=2.7)))
+    def test_stream_pinned(self, n, geom):
+        # the inverse-CDF formula written out on the A-then-B uniform stream
+        rng = np.random.default_rng(11)
+        u_a, u_b = rng.random(n), rng.random(n)
+        want = []
+        for u, d in ((u_a, geom.d_a), (u_b, geom.d_b)):
+            e = -np.log1p(-u)
+            e[e == 0.0] = np.finfo(float).tiny
+            want.append(e * d**-geom.alpha)
+        s = sample_channels(geom, n, seed=11)
+        assert s.h_a.tobytes() == want[0].tobytes()
+        assert s.h_b.tobytes() == want[1].tobytes()
+
+    def test_zero_draw_clamped_to_tiny(self, monkeypatch):
+        class ZeroGenerator:
+            def random(self, n):
+                return np.zeros(n)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroGenerator())
+        g = Geometry(d_a=0.3, alpha=4.0)
+        s = sample_channels(g, 5, seed=1)
+        tiny = np.finfo(float).tiny
+        assert s.h_a.tolist() == [tiny * g.d_a**-g.alpha] * 5
+        assert s.h_b.tolist() == [tiny * g.d_b**-g.alpha] * 5
+
+    def test_memory_is_the_output(self):
+        # two 8 MiB gain arrays; the draw is finished in place, with no temporaries
+        assert traced_peak(lambda: sample_channels(Geometry(d_a=0.5, alpha=4.0), 2**20, seed=4)) < 17 * 2**20
+
     def test_mean_gains(self):
         s = sample_channels(Geometry(d_a=0.5, alpha=4.0), 500, seed=2)
         ma, mb = s.mean_gains()
@@ -91,6 +145,16 @@ class TestSampleValidation:
         with pytest.raises(ValueError):
             ChannelSamples(h_a=np.ones(3), h_b=np.ones(4))
 
+    def test_strided_input_stored_contiguous(self):
+        s = sample_channels(Geometry(d_a=0.3, alpha=4.0), 1000, seed=6)
+        pairs = np.stack([s.h_a, s.h_b], axis=1)
+        strided = ChannelSamples(h_a=pairs[:, 0], h_b=pairs[:, 1])
+        assert strided.h_a.flags.c_contiguous and strided.h_b.flags.c_contiguous
+        p = SystemParams.reference(d_a=0.3, omega=0.05)
+        alloc = PowerAllocation.from_relay_power(300.0, p.p_tot)
+        for mode in RelayMode:
+            assert ec_point(mode, strided, p, alloc) == ec_point(mode, s, p, alloc)
+
 
 class TestCsv:
     def test_round_trip_exact(self, tmp_path):
@@ -111,6 +175,29 @@ class TestCsv:
     def test_rejects_nan_row(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("h_a,h_b\n1.0,2.0\nnan,2.0\n")
+        with pytest.raises(ValueError):
+            load_csv(path)
+
+    def test_loaded_gains_contiguous(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        save_csv(sample_channels(Geometry(d_a=0.4, alpha=4.0), 64, seed=9), path)
+        back = load_csv(path)
+        assert back.h_a.flags.c_contiguous and back.h_b.flags.c_contiguous
+
+    def test_load_memory_near_result(self, tmp_path):
+        # 2^16 rows make a 1 MiB result; a row-by-row parse peaks near 10 MiB
+        path = tmp_path / "samples.csv"
+        save_csv(sample_channels(Geometry(d_a=0.4, alpha=4.0), 2**16, seed=9), path)
+        assert traced_peak(lambda: load_csv(path)) < 3 * 2**20
+
+    @pytest.mark.parametrize(
+        "body",
+        ("1.0,2.0\n3.0\n", "1.0,2.0\n3.0,4.0,5.0\n", "1.0\n2.0\n", "1.0,2.0\nabc,4.0\n", "1.0,\n", "# note\n1.0,2.0\n"),
+        ids=("short-row", "long-row", "one-column", "non-numeric", "empty-field", "comment"),
+    )
+    def test_rejects_malformed_rows(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("h_a,h_b\n" + body)
         with pytest.raises(ValueError):
             load_csv(path)
 
