@@ -26,10 +26,24 @@ Every pass forms the node-symmetric SINR pieces num and common once per
 row, as (k, samples) arrays shared by the nodes, and finishes each node's
 SINR from them in its slice of a (nodes, k, samples) array.  When the
 samples fit one block (n <= ``_BLOCK``), every pass reuses it, so H_A H_B
-and H_A + H_B are computed once, and for two nodes the rate's per-node
-scale is laid out as a full (nodes, n) array.  Above one block the
-products would be n-sized arrays held per kernel, so each pass forms them
-in its block buffer instead, and memory stays a few blocks.
+and H_A + H_B are computed once.  For a one-row two-node pass the rate's
+per-node scale is then laid out as a full (nodes, n) array; a pass of k > 1
+rows takes every per-node constant as a (nodes, 1, 1) column instead,
+because spreading the full row to (nodes, 1, n) is slow under any buffer.
+Above one block the products would be n-sized arrays held per kernel, so
+each pass forms them in its block buffer instead, and memory stays a few
+blocks.
+
+A call of more than one relay power runs under a ufunc buffer of
+``_BUFSIZE`` elements, set by ``np.setbufsize`` and restored on return.
+numpy 2 sends a ufunc whose inner dimension is below a third of its
+buffer (2731 samples at the default 8192) through buffered copies, which
+made each (k, 1) column broadcast over a 1000-sample row about 4x slower
+than its unbuffered loop.  Under the smaller buffer num, common, the per-node
+denominators, z - z_max and the weight columns run on the unbuffered
+strided loops; every element goes through the same IEEE operations, so
+no bit moves.  One-row calls keep the caller's buffer: setting and
+restoring it costs more than it saves there.
 
 ``effective_capacity`` and ``ec_point`` are its one-row case; the
 solvers evaluate many line-search probes per call.  Neither a node's capacity nor a row's
@@ -59,6 +73,8 @@ from .link import (
 )
 
 _BLOCK = 2**15
+# ufunc buffer, in elements, of multi-row calls (see the module docstring)
+_BUFSIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -115,6 +131,26 @@ def _node_terms(samples: ChannelSamples, params: SystemParams, node: str, m_cu: 
     return _NodeTerms(hr, rate_dispersion_scale(m_cu, eps), c * theta, params.m * theta, math.log1p(-eps), math.log(eps))
 
 
+def _rows(fn):
+    """A kernel closure ``fn(p_r, *columns)`` that rejects a column whose
+    length is not p_r's and runs a call of several rows under the ufunc
+    buffer ``_BUFSIZE``, restoring the caller's buffer size on return."""
+
+    def call(p_r, *columns):
+        for col in columns:
+            if col is not None and len(col) != len(p_r):
+                raise ValueError(f"got {len(col)} entries for {len(p_r)} relay powers")
+        if len(p_r) < 2:
+            return fn(p_r, *columns)
+        old = np.setbufsize(_BUFSIZE)  # not np.errstate: numpy < 2 does not restore it there
+        try:
+            return fn(p_r, *columns)
+        finally:
+            np.setbufsize(old)
+
+    return call
+
+
 def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, nodes):
     """The blocked kernel for ``nodes`` as two closures over K >= 1 relay
     powers p_r with node powers p (by default the budget left after p_r,
@@ -135,7 +171,10 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
     array, with no node axis for one node and no k axis for one row, of a
     buffer sized at the largest chunk served; k times the block's samples
     stays within ``_BLOCK`` for any n, K.  Its SINR pieces num and common
-    are (k, samples) arrays shared by the nodes."""
+    are (k, samples) arrays shared by the nodes.  A call of several rows
+    runs under the ufunc buffer ``_BUFSIZE``, and its passes take the
+    per-node constants as (nodes, 1, 1) columns (module docstring); a
+    p or w whose length is not p_r's raises ValueError."""
     m_cu, c = rate_blocklength(params, mode), exponent_blocklength(params, mode)
     bonus = rate_blocklength_bonus(m_cu)
     terms = [_node_terms(samples, params, node, m_cu, c) for node in nodes]
@@ -155,10 +194,10 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
             (h_a[lo : lo + width], h_b[lo : lo + width], [t.hr[lo : lo + width] for t in terms])
             for lo in range(0, n, width)
         ]
-    else:  # one block; for two nodes qscale as a full (nodes, n) row
-        if lanes > 1:
-            qscale = np.repeat(qscale, width, 1)
+    else:
         blocks = [(h_a * h_b, h_a + h_b, [t.hr for t in terms])]
+    # a one-row two-node pass over the one block takes qscale as a full (nodes, n) row
+    q_row = np.repeat(qscale, width, 1) if hoisted and lanes > 1 else qscale
     # num and common, then the SINRs; the rate's scratch reuses num and common
     bufs = np.empty((2 + lanes, 1, width))
     node_axis = slice(None) if lanes > 1 else 0
@@ -167,8 +206,11 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
     def views(k: int) -> list:
         """Per block: its gains, buffer views and per-node constants for k rows."""
         buf = bufs[:, :k] if k > 1 else bufs[:, 0]
-        # only one block serves k > 1 rows; its node-axis arrays get a k axis
-        spread = (lambda a: a[:, None]) if k > 1 and lanes > 1 else (lambda a: a)
+        # only one block serves k > 1 rows; two nodes' constants are then (nodes, 1, 1) columns
+        if k > 1 and lanes > 1:
+            q, scale = qscale[:, None], neg_c_theta[:, None]
+        else:
+            q, scale = q_row, neg_c_theta
         cached[k] = []
         for g1, g2, own in blocks:
             sub = buf[..., : g1.shape[-1]]
@@ -177,7 +219,7 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
             tmp = sub[:lanes] if lanes > 1 else sub[0]
             # each node's SINR from the shared pieces, one node at a time
             steps = list(zip(own, gamma if lanes > 1 else [gamma]))
-            cached[k].append((g1, g2, num, common, steps, gamma, tmp, spread(qscale), spread(neg_c_theta)))
+            cached[k].append((g1, g2, num, common, steps, gamma, tmp, q, scale))
         return cached[k]
 
     def rates(p_r, p):
@@ -202,6 +244,7 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
                     _sinr_node(num, common, relay, h_r, out)
                 yield b, at, _rate_into(gamma, q, bonus, tmp), scale
 
+    @_rows
     def capacities(p_r, p=None) -> list:
         kept = np.empty((2, len(blocks), lanes, len(p_r)))  # per block, node and row: z_b and s_b
         for b, at, z, neg_c_theta in rates(p_r, p):
@@ -220,6 +263,7 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
             for z_row, s_row in zip(zip(*top), zip(*sums))
         ]
 
+    @_rows
     def taus(p_r, w, p=None) -> list:
         low = np.empty((len(blocks), len(p_r)))  # per block and row: the minimum
         for b, at, (r_a, r_b), _ in rates(p_r, p):

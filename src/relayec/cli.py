@@ -22,9 +22,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .capacity import ec_point
+from .capacity import EcPoint, _kernel, ec_point
 from .channel import Geometry, sample_channels
-from .link import PowerAllocation, RelayMode, SystemParams
+from .link import NODES, PowerAllocation, RelayMode, SystemParams
 from .solver import SolveMethod, SolveReport, _solve_weights, pareto_epsilon_constraint, pareto_weighted
 from .solver import solve_approx, solve_exact
 
@@ -275,14 +275,18 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
     drawn = {d_a: sample_channels(geom, config.samples, config.seed) for d_a, geom in geoms.items()}
     samples = [drawn[cfg.d_a] for cfg in cfgs]
 
-    if config.sweep_param == "p_r" or config.method == "equal":
-        method = "fixed" if config.sweep_param == "p_r" else "equal"
+    if config.sweep_param == "p_r":  # the points differ only in p_r: one kernel call for the curve
+        method = "fixed"
+        allocs = [PowerAllocation.from_relay_power(float(x), params[0].p_tot) for x in config.sweep_values]
+        caps = _kernel(mode, samples[0], params[0], NODES)[0]([a.p_r for a in allocs], [a.p_node for a in allocs])
+        reports = [  # no search
+            SolveReport(a, EcPoint(r_ea, r_eb, a), None, None, 0, 0, 0.0) for a, (r_ea, r_eb) in zip(allocs, caps)
+        ]
+    elif config.method == "equal":
+        method = "equal"
         reports = []
-        for x, s, p in zip(config.sweep_values, samples, params):
-            if method == "fixed":
-                alloc = PowerAllocation.from_relay_power(float(x), p.p_tot)
-            else:
-                alloc = PowerAllocation.equal_split(p.p_tot)
+        for s, p in zip(samples, params):
+            alloc = PowerAllocation.equal_split(p.p_tot)
             reports.append(SolveReport(alloc, ec_point(mode, s, p, alloc), None, None, 0, 0, 0.0))  # no search
     elif config.sweep_param == "w":
         method = config.method

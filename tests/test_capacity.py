@@ -24,7 +24,8 @@ from relayec import (
     sinr_fd,
     snr_hd,
 )
-from relayec.capacity import _BLOCK, _kernel
+import relayec.capacity as capacity
+from relayec.capacity import _BLOCK, _BUFSIZE, _kernel
 
 # frozen independently (bisection on the Gaussian tail at 40 digits)
 QINV = {1e-4: 3.7190164854556805644, 1e-2: 2.3263478740408408034}
@@ -348,11 +349,15 @@ class TestBatchedKernel:
     """Every row of a batched call is bit for bit what the scalar entry
     points return.  K = 1024 runs at n = 1 (one pass of 1024 rows) and n =
     1000 (32 passes), K = 33 at n = 1000 ends on a one-row pass; at 2 _BLOCK
-    + 17 samples a pass holds one row, which K = 2 and 21 already exercise."""
+    + 17 samples a pass holds one row, which K = 2 and 21 already exercise.
+    n = 2730 and 2731 sit on either side of numpy's buffering edge (see
+    TestMultiRowBuffer), each with one pass of two rows and with more rows
+    than one pass holds."""
 
     @pytest.mark.parametrize(
         "n, k",
-        [(n, k) for n in (1, 1000) for k in (1, 2, 21, 1024)] + [(1000, 33)] + [(2 * _BLOCK + 17, k) for k in (1, 2, 21)],
+        [(n, k) for n in (1, 1000) for k in (1, 2, 21, 1024)] + [(1000, 33)] + [(2 * _BLOCK + 17, k) for k in (1, 2, 21)]
+        + [(n, k) for n in (2730, 2731, 4096, 8193) for k in (2, _BLOCK // n + 3)],
     )
     @pytest.mark.parametrize("mode", list(RelayMode))
     def test_rows_match_scalar_entry_points(self, n, k, mode):
@@ -383,6 +388,75 @@ def test_batched_memory_stays_in_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+class TestMultiRowBuffer:
+    """A call of several rows runs under the ufunc buffer ``_BUFSIZE``.
+    numpy 2 sends a broadcast whose inner dimension is below a third of the
+    buffer size (2731 samples at the default 8192) through buffered copies;
+    the smaller buffer changes no bit (TestBatchedKernel), and the caller's
+    size comes back on every exit."""
+
+    @staticmethod
+    def closures():
+        return _kernel(RelayMode.FD, reference_samples(), SystemParams.reference(), ("A", "B"))
+
+    def test_smaller_buffer_only_in_multi_row_calls(self, monkeypatch):
+        seen, rate_into = [], capacity._rate_into
+
+        def spy(*args):
+            seen.append(np.getbufsize())
+            return rate_into(*args)
+
+        monkeypatch.setattr(capacity, "_rate_into", spy)
+        capacities, taus = self.closures()
+        default = np.getbufsize()
+        capacities([300.0])
+        taus([300.0], [0.5])
+        assert seen == [default] * 2
+        capacities([300.0, 400.0])
+        taus([300.0, 400.0], [0.5, 0.2])
+        assert seen[2:] == [_BUFSIZE] * 2
+        assert np.getbufsize() == default
+
+    def test_buffer_restored_when_a_pass_raises(self, monkeypatch):
+        def failing(*args):
+            raise FloatingPointError("pass failed")
+
+        monkeypatch.setattr(capacity, "_rate_into", failing)
+        capacities, taus = self.closures()
+        default = np.getbufsize()
+        with pytest.raises(FloatingPointError):
+            capacities([300.0, 400.0])
+        assert np.getbufsize() == default
+        with pytest.raises(FloatingPointError):
+            taus([300.0, 400.0], [0.5, 0.2])
+        assert np.getbufsize() == default
+
+    def test_callers_buffer_size_restored(self):
+        capacities, taus = self.closures()
+        old = np.setbufsize(4096)
+        try:
+            capacities([300.0, 400.0])
+            assert np.getbufsize() == 4096
+            taus([300.0, 400.0], [0.5, 0.2])
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(old)
+
+
+@pytest.mark.parametrize("mode", list(RelayMode))
+def test_rejects_columns_not_matching_relay_powers(mode):
+    # such a call once read leftover buffer contents, or reused one weight for every row
+    capacities, taus = _kernel(mode, reference_samples(), SystemParams.reference(), ("A", "B"))
+    with pytest.raises(ValueError, match="1 entries for 3 relay powers"):
+        capacities([100.0, 200.0, 300.0], [450.0])
+    with pytest.raises(ValueError, match="2 entries for 1 relay powers"):
+        capacities([100.0], [450.0, 400.0])
+    with pytest.raises(ValueError, match="1 entries for 2 relay powers"):
+        taus([100.0, 200.0], [0.5])
+    with pytest.raises(ValueError, match="1 entries for 2 relay powers"):
+        taus([100.0, 200.0], [0.5, 0.5], [450.0])
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import relayec.cli as cli
-from relayec import RelayMode, sample_channels, solve_approx, solve_exact
+from relayec import PowerAllocation, RelayMode, ec_point, sample_channels, solve_approx, solve_exact
 from relayec.cli import (
     FIGURES,
     ConfigError,
@@ -166,6 +166,20 @@ class TestRunSweep:
         assert mid["weighted_sum"] == pytest.approx(
             0.5 * (mid["r_ea"] + mid["r_eb"])
         )
+
+    @pytest.mark.parametrize("mode", ["hd", "fd"])
+    def test_relay_power_axis_rows_match_ec_point(self, mode, monkeypatch):
+        builds = []
+        kernel = cli._kernel
+        monkeypatch.setattr(cli, "_kernel", lambda *args: builds.append(args) or kernel(*args))
+        cfg = small_cfg(mode=mode, d_a=0.3, sweep_param="p_r", sweep_values=tuple(np.linspace(0.0, 1000.0, 41)))
+        rows = run_sweep(cfg)
+        assert len(builds) == 1  # one kernel for the curve
+        params = cfg.system_params()
+        samples = sample_channels(params.geom, cfg.samples, cfg.seed)
+        for row in rows:
+            point = ec_point(RelayMode(mode), samples, params, PowerAllocation.from_relay_power(row["p_r"], params.p_tot))
+            assert (row["r_ea"], row["r_eb"], row["p_node"]) == (point.r_ea, point.r_eb, point.alloc.p_node)
 
     def test_solved_sweep_has_solver_fields(self):
         cfg = small_cfg(sweep_param="eps", sweep_values=(1e-5, 1e-3), method="exact")
