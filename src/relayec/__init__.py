@@ -1,9 +1,9 @@
 """Effective-capacity power allocation for two-way HD/FD relays with
 finite-blocklength packets."""
 
-from .capacity import EcPoint, ec_point, effective_capacity, per_sample_rates
+from .capacity import EcPoint, ec_point, effective_capacity
 from .channel import ChannelSamples, Geometry, load_csv, sample_channels, save_csv
-from .fbl import fbl_rate, inverse_q, q_tail
+from .fbl import fbl_rate, inverse_q
 from .link import (
     PowerAllocation,
     RelayMode,
@@ -12,13 +12,11 @@ from .link import (
     optimal_relay_power_hd,
     sinr_fd,
     snr_hd,
-    threshold_roots_hd,
 )
 from .solver import (
     ParetoFrontier,
     SolveMethod,
     SolveReport,
-    apply_threshold_policy,
     maximize_unimodal,
     pareto_epsilon_constraint,
     pareto_weighted,
@@ -38,7 +36,6 @@ __all__ = [
     "SolveMethod",
     "SolveReport",
     "SystemParams",
-    "apply_threshold_policy",
     "ec_point",
     "effective_capacity",
     "fbl_rate",
@@ -49,13 +46,10 @@ __all__ = [
     "optimal_relay_power_hd",
     "pareto_epsilon_constraint",
     "pareto_weighted",
-    "per_sample_rates",
-    "q_tail",
     "sample_channels",
     "save_csv",
     "sinr_fd",
     "snr_hd",
     "solve_approx",
     "solve_exact",
-    "threshold_roots_hd",
 ]

@@ -34,7 +34,7 @@ Above one block the products would be n-sized arrays held per kernel, so
 each pass forms them in its block buffer instead, and memory stays a few
 blocks.
 
-A call of more than one relay power runs under a ufunc buffer of
+A call of three or more relay powers runs under a ufunc buffer of
 ``_BUFSIZE`` elements, set by ``np.setbufsize`` and restored on return.
 numpy 2 sends a ufunc whose inner dimension is below a third of its
 buffer (2731 samples at the default 8192) through buffered copies, which
@@ -42,25 +42,30 @@ made each (k, 1) column broadcast over a 1000-sample row about 4x slower
 than its unbuffered loop.  Under the smaller buffer num, common, the per-node
 denominators, z - z_max and the weight columns run on the unbuffered
 strided loops; every element goes through the same IEEE operations, so
-no bit moves.  One-row calls keep the caller's buffer: setting and
-restoring it costs more than it saves there.
+no bit moves.  One- and two-row calls keep the caller's buffer: setting
+and restoring it costs more than it saves there.
 
 ``effective_capacity`` and ``ec_point`` are its one-row case; the
-solvers evaluate many line-search probes per call.  Neither a node's capacity nor a row's
-depends on what else is evaluated with it, so every entry point agrees
-bit for bit.
+solvers evaluate many line-search probes per call.  Neither a node's
+capacity nor a row's depends on what else is evaluated with it, so every
+entry point agrees bit for bit.  The approximate solver's surrogate is
+evaluated by ``_surrogate`` instead: one O(n) prune per solve keeps the
+few samples that can attain its minimum over the search span, and each
+probe evaluates only those, in Python floats or, above
+``_FLOAT_SAMPLES`` of them, by this kernel over them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import cycle
 from typing import NamedTuple
 
 import numpy as np
 
 from .channel import ChannelSamples
-from .fbl import _rate_into, fbl_rate, rate_blocklength_bonus, rate_dispersion_scale
+from .fbl import _rate_into, rate_blocklength_bonus, rate_dispersion_scale
 from .link import (
     NODES,
     PowerAllocation,
@@ -69,12 +74,16 @@ from .link import (
     _sinr_coefficients,
     _sinr_node,
     _sinr_shared,
-    sinr_fd,
+    optimal_relay_power_fd,
 )
 
 _BLOCK = 2**15
-# ufunc buffer, in elements, of multi-row calls (see the module docstring)
+# ufunc buffer, in elements, of calls of three or more rows (see the module docstring)
 _BUFSIZE = 1024
+# kept samples up to which the surrogate is evaluated in Python floats, not by the kernel
+_FLOAT_SAMPLES = 24
+# relative rounding margin of the surrogate prune's threshold
+_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -133,14 +142,14 @@ def _node_terms(samples: ChannelSamples, params: SystemParams, node: str, m_cu: 
 
 def _rows(fn):
     """A kernel closure ``fn(p_r, *columns)`` that rejects a column whose
-    length is not p_r's and runs a call of several rows under the ufunc
-    buffer ``_BUFSIZE``, restoring the caller's buffer size on return."""
+    length is not p_r's and runs a call of three or more rows under the
+    ufunc buffer ``_BUFSIZE``, restoring the caller's buffer size on return."""
 
     def call(p_r, *columns):
         for col in columns:
             if col is not None and len(col) != len(p_r):
                 raise ValueError(f"got {len(col)} entries for {len(p_r)} relay powers")
-        if len(p_r) < 2:
+        if len(p_r) < 3:
             return fn(p_r, *columns)
         old = np.setbufsize(_BUFSIZE)  # not np.errstate: numpy < 2 does not restore it there
         try:
@@ -168,13 +177,10 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
     per-sample exponential or logarithm beyond the rate itself.
 
     A pass covers k rows and a block of samples in one (nodes, k, samples)
-    array, with no node axis for one node and no k axis for one row, of a
-    buffer sized at the largest chunk served; k times the block's samples
-    stays within ``_BLOCK`` for any n, K.  Its SINR pieces num and common
-    are (k, samples) arrays shared by the nodes.  A call of several rows
-    runs under the ufunc buffer ``_BUFSIZE``, and its passes take the
-    per-node constants as (nodes, 1, 1) columns (module docstring); a
-    p or w whose length is not p_r's raises ValueError."""
+    array (no node axis for one node, no k axis for one row) of a buffer
+    sized at the largest chunk served; k times the block's samples stays
+    within ``_BLOCK``.  The module docstring gives the buffer scope and the
+    per-node columns.  A p or w whose length is not p_r's raises ValueError."""
     m_cu, c = rate_blocklength(params, mode), exponent_blocklength(params, mode)
     bonus = rate_blocklength_bonus(m_cu)
     terms = [_node_terms(samples, params, node, m_cu, c) for node in nodes]
@@ -278,16 +284,73 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
     return capacities, taus
 
 
-def per_sample_rates(
-    mode: RelayMode,
-    samples: ChannelSamples,
-    params: SystemParams,
-    alloc: PowerAllocation,
-    node: str,
-) -> np.ndarray:
-    """Finite-blocklength rate of one node for every fading sample."""
-    gamma = sinr_fd(alloc, params.omega_for(mode), samples.h_a, samples.h_b, node)
-    return fbl_rate(gamma, rate_blocklength(params, mode), params.eps_for(node))
+def _sinr_floats(p_r: float, p_tot: float, omega: float, pts: list) -> list:
+    """u = 1 + SINR of both nodes at p_r per sample (h_a, h_b, h_a h_b, h_a + h_b), flat, by the kernel's ops."""
+    pp, p_leak, leaks, relay = _sinr_coefficients(p_r, (p_tot - p_r) / 2.0, omega)
+    us = []
+    for h_a, h_b, hh, hs in pts:
+        num, common = hh * pp, hs * p_leak + leaks
+        us += (num / (h_a * relay + common) + 1.0, num / (h_b * relay + common) + 1.0)
+    return us
+
+
+def _surrogate(mode: RelayMode, samples: ChannelSamples, params: SystemParams, weights, lo: float, hi: float):
+    """``taus(p_r, w)`` of :func:`_kernel`, bit for bit, for p_r in [lo, hi] and w
+    in ``weights``, over only the samples whose g_i = w r_A_i + (1-w) r_B_i
+    can be the least.  Per sample, each SINR is single-peaked in p_r, so on
+    [lo, hi] it runs from its smaller end value to its value at its clipped
+    closed-form peak, and the rate is quasiconvex in the SINR; that bounds
+    g_i below by L_i, and above by U_j for each weight's three samples of
+    least L_j.  A sample with L_i > min U_j plus a rounding margin is never
+    the least; a weight batch keeps the union.  Up to ``_FLOAT_SAMPLES``
+    kept samples are evaluated in Python floats, one ``np.log2`` call per
+    probe (+, -, *, / and sqrt round as numpy's), more by the kernel."""
+    m_cu, omega, p_tot = rate_blocklength(params, mode), params.omega_for(mode), params.p_tot
+    qs, bonus = [rate_dispersion_scale(m_cu, params.eps_for(node)) for node in NODES], rate_blocklength_bonus(m_cu)
+    h_a, h_b, n = samples.h_a, samples.h_b, len(samples)
+    a_max, b_max = float(h_a.max()), float(h_b.max())
+    # above this bound an SINR piece may overflow; then no bound holds, and NaN propagates as the kernel's
+    if not (a_max * b_max + 2.0 * (a_max + b_max) + 1.0) * (p_tot + 1.0) ** 2 < 1e300:
+        return _kernel(mode, samples, params, NODES)[1]
+    r_low = np.empty((2, n))  # per node and sample: the least rate on [lo, hi]
+    coefs = [_sinr_coefficients(x, (p_tot - x) / 2.0, omega) for x in (lo, hi)]
+    # the rate falls in gamma until u sqrt(u^2 - 1) = q ln 2, u = 1 + gamma, and rises after
+    turns = [math.sqrt(0.5 + 0.5 * math.sqrt(1.0 + 4.0 * (q * math.log(2.0)) ** 2)) - 1.0 for q in qs]
+    for b0 in range(0, n, _BLOCK):  # memory stays a few blocks
+        ha, hb = h_a[b0 : b0 + _BLOCK], h_b[b0 : b0 + _BLOCK]
+        g, hh, hs = np.empty((2, 2, len(ha))), ha * hb, ha + hb  # g per end, node and sample
+        for end, coef in zip(g, coefs):
+            num, common, relay = _sinr_shared(coef, hh, hs)
+            for h, out in zip((ha, hb), end):
+                _sinr_node(num, common, relay, h, out)
+        # per node, the smaller end value, then the least rate above it
+        for r_i, g_lo, g_hi, turn, q in zip(r_low[:, b0 : b0 + _BLOCK], *g, turns, qs):
+            _rate_into(np.maximum(np.minimum(g_lo, g_hi, out=r_i), turn, out=r_i), q, bonus, g_lo)
+    tops, keep = {}, np.zeros(n, bool)  # per candidate j: each node's largest rate on [lo, hi]
+    for w in weights:
+        low = w * r_low[0] + (1.0 - w) * r_low[1]  # L_i
+        for j in set(np.argpartition(low, min(2, n - 1))[:3].tolist()) - tops.keys():  # at an end or a clipped peak
+            a, b = float(h_a[j]), float(h_b[j])
+            peaks = [min(max(optimal_relay_power_fd(a, b, p_tot, omega, node), lo), hi) for node in NODES]
+            us = [_sinr_floats(x, p_tot, omega, [(a, b, a * b, a + b)]) for x in (lo, hi, *peaks)]
+            tops[j] = [max(math.log2(u[i]) - math.sqrt(1.0 - 1.0 / (u[i] * u[i])) * q + bonus for u in us)
+                       for i, q in enumerate(qs)]
+        top = min(w * t_a + (1.0 - w) * t_b for t_a, t_b in tops.values())  # min U_j
+        keep |= low <= top + _MARGIN * (1.0 + abs(top))
+    kept = np.flatnonzero(keep)
+    if len(kept) > _FLOAT_SAMPLES:
+        return _kernel(mode, ChannelSamples(h_a[kept], h_b[kept]), params, NODES)[1]
+    pts = [(a, b, a * b, a + b) for a, b in zip(h_a[kept].tolist(), h_b[kept].tolist())]
+
+    def taus(p_r, w) -> list:
+        out = []
+        for x, wk in zip(p_r, w):
+            us = _sinr_floats(x, p_tot, omega, pts)
+            rs = (v - math.sqrt(1.0 - 1.0 / (u * u)) * q + bonus for u, v, q in zip(us, np.log2(us).tolist(), cycle(qs)))
+            out.append(-0.5 * min([r_a * wk + r_b * (1.0 - wk) for r_a, r_b in zip(rs, rs)]))
+        return out
+
+    return taus
 
 
 def effective_capacity(

@@ -29,13 +29,6 @@ LOG2E = float(np.log2(np.e))
 _EXPM2 = 0.13533528323661269189  # exp(-2)
 
 
-def q_tail(x):
-    """Gaussian tail probability Q(x) = P{N(0,1) > x} of a scalar or an array."""
-    x = np.asarray(x, dtype=float)
-    out = np.array([0.5 * math.erfc(v / math.sqrt(2.0)) for v in x.ravel().tolist()]).reshape(x.shape)
-    return float(out) if out.ndim == 0 else out
-
-
 def _ndtri(y: float) -> float:
     """Cephes ``ndtri``, the x with Phi(x) = y for 0 < y < 1: its P0/Q0, P1/Q1
     and P2/Q2 unrolled by Horner's rule as ``polevl``/``p1evl`` run them."""

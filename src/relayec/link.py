@@ -15,8 +15,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
-
 import numpy as np
 
 from .channel import Geometry
@@ -210,11 +208,6 @@ def sinr_fd(alloc: PowerAllocation, omega: float, h_a, h_b, node: str = "A"):
     return _sinr_node(*shared, hr)
 
 
-def _check_gains(h_a: float, h_b: float) -> None:
-    if h_a <= 0.0 or h_b <= 0.0:
-        raise ValueError(f"gains must be positive, got H_A={h_a}, H_B={h_b}")
-
-
 def optimal_relay_power_hd(h_a: float, h_b: float, p_tot: float, node: str = "A") -> float:
     """Relay power maximizing the HD SNR of one node, in closed form.
 
@@ -247,7 +240,8 @@ def optimal_relay_power_fd(
     leading-coefficient sign change of the quadratic (possible for
     H_A < H_B at large omega) cancels out of this form altogether.
     """
-    _check_gains(h_a, h_b)
+    if h_a <= 0.0 or h_b <= 0.0:
+        raise ValueError(f"gains must be positive, got H_A={h_a}, H_B={h_b}")
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must lie in [0, 1], got {omega}")
     hr, _ = _oriented(h_a, h_b, node)
@@ -256,39 +250,3 @@ def optimal_relay_power_fd(
     gk = g * k
     disc = gk * 4.0 * (hr * p_tot + 1.0) * (omega * p_tot + 1.0)
     return gk * p_tot / (gk + math.sqrt(disc))
-
-
-def threshold_roots_hd(
-    h_a: float, h_b: float, p_tot: float, gamma_t: float, node: str = "A"
-) -> Optional[tuple[float, float]]:
-    """The two relay powers at which the HD SNR crosses ``gamma_t``.
-
-    The SNR is concave in relay power with a single peak, so the level set
-    gamma = gamma_t is either empty (peak below the threshold, returns
-    None) or a pair p1 <= p2 bracketing the maximizer.  Solved directly
-    from the quadratic
-
-        H_A H_B p_r^2 + (gamma_t (H_r - H_o) - H_A H_B p_tot) p_r
-            + gamma_t K = 0,    K = (H_A + H_B) p_tot + 2,
-
-    using the cancellation-free two-branch formula.
-    """
-    _check_gains(h_a, h_b)
-    if gamma_t <= 0.0:
-        raise ValueError(f"gamma_t must be positive, got {gamma_t}")
-    p_star = optimal_relay_power_hd(h_a, h_b, p_tot, node)
-    peak = snr_hd(PowerAllocation.from_relay_power(p_star, p_tot), h_a, h_b, node)
-    if peak < gamma_t:
-        return None
-    hr, ho = _oriented(h_a, h_b, node)
-    hh = h_a * h_b
-    k = (h_a + h_b) * p_tot + 2.0
-    b = gamma_t * (hr - ho) - hh * p_tot
-    c = gamma_t * k
-    # Crossings exist inside (0, p_tot), hence both roots are positive and
-    # b < 0; the discriminant is clamped against rounding at the tangent case.
-    disc = max(b * b - 4.0 * hh * c, 0.0)
-    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    r1 = q / hh
-    r2 = c / q
-    return (r1, r2) if r1 <= r2 else (r2, r1)

@@ -9,7 +9,9 @@ only between the two closed-form single-node optima: outside that
 interval the surrogate develops spurious minima (worst-sample artifacts
 and a funnel where every SNR collapses to zero yet the blocklength term
 keeps the rate positive), so the search is deliberately local around the
-closed-form warm start.  Frontier tracing runs either solver across a
+closed-form warm start.  A surrogate probe costs O(kept samples): one
+O(n) prune per solve keeps the few samples that can attain the minimum
+over that span.  Frontier tracing runs either solver across a
 weight grid, or maximizes one node's capacity under a floor on the other,
 with one peak search per node and a bracketing secant per floor crossing
 that can bind: the crossing on node A's side of node B's peak, and the
@@ -34,7 +36,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .capacity import EcPoint, _kernel, effective_capacity
+from .capacity import EcPoint, _kernel, _surrogate, effective_capacity
 from .channel import ChannelSamples
 from .link import NODES, PowerAllocation, RelayMode, SystemParams, optimal_relay_power_fd, sinr_fd
 
@@ -255,7 +257,7 @@ def _solve_weights(
     _check_search(0.0, params.p_tot, tol, x0)
     gains = samples.mean_gains()
     p_a, p_b = _single_node_optima(mode, gains, params)
-    capacities, taus = _kernel(mode, samples, params, NODES)
+    capacities = _kernel(mode, samples, params, NODES)[0]
     evals = [0] * len(weights)
     last = [None] * len(weights)  # capacities at each search's latest probe
     exact = method is SolveMethod.EXACT
@@ -282,10 +284,12 @@ def _solve_weights(
         lo, hi = min(p_a, p_b), max(p_a, p_b)
         # The closed-form optima localize the search: a plain golden section over
         # their span, or with a start point bracket expansion around it (clipped
-        # into the span).  A span within tol gets one probe: midpoint or start.
+        # into the span), every probe in [lo, hi].  A span within tol probes
+        # nothing: its midpoint or start is evaluated for the capacities only.
         start = None if x0 is None else min(max(x0, lo), hi)
         if hi - lo <= tol and start is not None:
             lo, hi, start = start, start, None
+        taus = _surrogate(mode, samples, params, weights, lo, hi) if hi - lo > tol else None
         searches = [_line_search(lo, hi, tol, start, 0.1, probe_x=False) for _ in weights]
     results = _lockstep(searches, evaluate)
 
@@ -346,34 +350,26 @@ def solve_approx(
     beyond them the surrogate's worst-sample structure turns multimodal
     (see module docstring).  The search's last probe, at the returned relay
     power, evaluates the exact capacities reported instead of the surrogate,
-    whose value there is never used.
+    whose value there is never used.  One O(n) prune before the search keeps
+    the samples whose weighted rate can be the worst on that interval, so
+    each probe costs O(kept samples); the final capacities use every sample.
     """
     return _solve_weights(mode, samples, params, (params.w,), SolveMethod.APPROXIMATE, x0, apply_policy)[0]
-
-
-def apply_threshold_policy(
-    report: SolveReport,
-    mode: RelayMode,
-    samples: ChannelSamples,
-    params: SystemParams,
-) -> SolveReport:
-    """Silence a node whose operating SNR falls below its threshold.
-
-    SNRs are evaluated at the sample-mean gains, matching the closed
-    forms.  When one node falls below its threshold its stream is dropped
-    (capacity reported as zero), and the relay power is reset to the other
-    node's closed-form optimum; node powers still follow the budget.  When
-    both nodes fall below, the solution is returned unchanged with the
-    degenerate flag set, which keeps sweeps comparable instead of
-    transmitting nothing.
-    """
-    return _threshold_policy(report, mode, samples, params, samples.mean_gains())
 
 
 def _threshold_policy(
     report: SolveReport, mode: RelayMode, samples: ChannelSamples, params: SystemParams, gains: tuple[float, float]
 ) -> SolveReport:
-    """:func:`apply_threshold_policy` at the given sample-mean gains."""
+    """Silence a node whose operating SNR falls below its threshold.
+
+    SNRs are evaluated at the sample-mean gains ``gains``, matching the
+    closed forms.  When one node falls below its threshold its stream is
+    dropped (capacity reported as zero), and the relay power is reset to
+    the other node's closed-form optimum; node powers still follow the
+    budget.  When both nodes fall below, the solution is returned unchanged
+    with the degenerate flag set, which keeps sweeps comparable instead of
+    transmitting nothing.
+    """
     ha, hb = gains
     omega = params.omega_for(mode)
     below_a, below_b = (
@@ -388,13 +384,8 @@ def _threshold_policy(
     p_r = optimal_relay_power_fd(ha, hb, params.p_tot, omega, keep)
     alloc = PowerAllocation.from_relay_power(p_r, params.p_tot)
     kept_ec = effective_capacity(mode, samples, params, alloc, keep)
-    if keep == "B":
-        ec = EcPoint(r_ea=0.0, r_eb=kept_ec, alloc=alloc)
-        silenced = "A"
-    else:
-        ec = EcPoint(r_ea=kept_ec, r_eb=0.0, alloc=alloc)
-        silenced = "B"
-    return replace(report, alloc=alloc, ec=ec, silenced=silenced)
+    caps = (0.0, kept_ec) if keep == "B" else (kept_ec, 0.0)
+    return replace(report, alloc=alloc, ec=EcPoint(*caps, alloc), silenced="A" if keep == "B" else "B")
 
 
 def _dominance_mask(points: Sequence[EcPoint], tol: float) -> list[bool]:

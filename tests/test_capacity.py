@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from oracles import per_sample_rates
 from relayec import (
     ChannelSamples,
     Geometry,
@@ -18,7 +19,6 @@ from relayec import (
     ec_point,
     effective_capacity,
     fbl_rate,
-    per_sample_rates,
     sample_channels,
     save_csv,
     sinr_fd,
@@ -391,11 +391,12 @@ def test_batched_memory_stays_in_blocks():
 
 
 class TestMultiRowBuffer:
-    """A call of several rows runs under the ufunc buffer ``_BUFSIZE``.
-    numpy 2 sends a broadcast whose inner dimension is below a third of the
-    buffer size (2731 samples at the default 8192) through buffered copies;
-    the smaller buffer changes no bit (TestBatchedKernel), and the caller's
-    size comes back on every exit."""
+    """A call of three or more rows runs under the ufunc buffer
+    ``_BUFSIZE``.  numpy 2 sends a broadcast whose inner dimension is below
+    a third of the buffer size (2731 samples at the default 8192) through
+    buffered copies; the smaller buffer changes no bit (TestBatchedKernel),
+    and the caller's size comes back on every exit.  One- and two-row calls
+    keep the caller's buffer, where the scope costs more than it saves."""
 
     @staticmethod
     def closures():
@@ -413,10 +414,12 @@ class TestMultiRowBuffer:
         default = np.getbufsize()
         capacities([300.0])
         taus([300.0], [0.5])
-        assert seen == [default] * 2
         capacities([300.0, 400.0])
         taus([300.0, 400.0], [0.5, 0.2])
-        assert seen[2:] == [_BUFSIZE] * 2
+        assert seen == [default] * 4
+        capacities([300.0, 400.0, 500.0])
+        taus([300.0, 400.0, 500.0], [0.5, 0.2, 0.7])
+        assert seen[4:] == [_BUFSIZE] * 2
         assert np.getbufsize() == default
 
     def test_buffer_restored_when_a_pass_raises(self, monkeypatch):
@@ -427,19 +430,19 @@ class TestMultiRowBuffer:
         capacities, taus = self.closures()
         default = np.getbufsize()
         with pytest.raises(FloatingPointError):
-            capacities([300.0, 400.0])
+            capacities([300.0, 400.0, 500.0])
         assert np.getbufsize() == default
         with pytest.raises(FloatingPointError):
-            taus([300.0, 400.0], [0.5, 0.2])
+            taus([300.0, 400.0, 500.0], [0.5, 0.2, 0.7])
         assert np.getbufsize() == default
 
     def test_callers_buffer_size_restored(self):
         capacities, taus = self.closures()
         old = np.setbufsize(4096)
         try:
-            capacities([300.0, 400.0])
+            capacities([300.0, 400.0, 500.0])
             assert np.getbufsize() == 4096
-            taus([300.0, 400.0], [0.5, 0.2])
+            taus([300.0, 400.0, 500.0], [0.5, 0.2, 0.7])
             assert np.getbufsize() == 4096
         finally:
             np.setbufsize(old)
@@ -490,3 +493,57 @@ def test_rows_and_nodes_agree_bit_for_bit(n, mode, rows, explicit):
     assert taus(xs, ws, node_p) == [taus([x], [w], y)[0] for x, w, y in zip(xs, ws, one)]
     for i, node in enumerate(("A", "B")):
         assert [row[0] for row in _kernel(mode, s, p, (node,))[0](xs, node_p)] == [row[i] for row in both]
+
+
+@functools.lru_cache(maxsize=None)
+def prune_samples(n):
+    return reference_samples(n, seed=23, d_a=0.4)
+
+
+# the float path (every kept set) and the kernel path (no kept set is that small)
+@pytest.mark.parametrize("crossover", (10**9, 0))
+@pytest.mark.parametrize("n", (1, 7, 1000, _BLOCK + 5))
+@settings(max_examples=12)
+@given(
+    mode=st.sampled_from(list(RelayMode)),
+    log_p_tot=st.floats(-3.0, 3.0),  # down to SINRs below the rate's turning point
+    m=st.integers(2, 400),
+    log_eps=st.tuples(st.floats(-8.0, math.log10(0.5)), st.floats(-8.0, math.log10(0.5))),
+    omega=st.floats(0.0, 1.0),
+    span=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(lambda t: t[0] != t[1]),
+    weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    probes=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 3)), min_size=1, max_size=4),
+)
+def test_pruned_surrogate_matches_full_kernel(crossover, n, mode, log_p_tot, m, log_eps, omega, span, weights, probes):
+    """Over the samples the prune keeps, tau at any relay power in [lo, hi]
+    and any weight of the batch is the full kernel's, bit for bit."""
+    p = SystemParams.reference(
+        p_tot=10.0**log_p_tot, m=m, eps_a=10.0 ** log_eps[0], eps_b=10.0 ** log_eps[1], omega=omega
+    )
+    lo, hi = sorted(f * p.p_tot for f in span)
+    xs = [lo + f * (hi - lo) for f, _ in probes]
+    ws = [weights[i % len(weights)] for _, i in probes]
+    s = prune_samples(n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(capacity, "_FLOAT_SAMPLES", crossover)
+        pruned = capacity._surrogate(mode, s, p, weights, lo, hi)
+    assert pruned(xs, ws) == _kernel(mode, s, p, ("A", "B"))[1](xs, ws)
+
+
+@pytest.mark.parametrize("mode", list(RelayMode))
+def test_prune_keeps_few_samples(mode, monkeypatch):
+    # at the reference scenario a handful of samples can attain the surrogate's minimum
+    p = SystemParams.reference(d_a=0.3, omega=0.05)
+    s = reference_samples(1000, d_a=0.3)
+    xs, ws = [float(x) for x in np.linspace(400.0, 700.0, 7)], [0.2] * 7
+    full = _kernel(mode, s, p, ("A", "B"))[1](xs, ws)
+    built = []
+
+    def spy(mode, samples, params, nodes):
+        built.append(len(samples))
+        return _kernel(mode, samples, params, nodes)
+
+    monkeypatch.setattr(capacity, "_FLOAT_SAMPLES", 0)  # the kept samples go to the kernel, through the spy
+    monkeypatch.setattr(capacity, "_kernel", spy)
+    assert capacity._surrogate(mode, s, p, [0.2, 0.5], 400.0, 700.0)(xs, ws) == full
+    assert len(built) == 1 and 1 <= built[0] <= 30

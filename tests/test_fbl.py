@@ -6,7 +6,8 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relayec import fbl_rate, inverse_q, q_tail
+from oracles import q_tail
+from relayec import fbl_rate, inverse_q
 
 LOG2E = math.log2(math.e)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import threshold_roots_hd
 from relayec import (
     PowerAllocation,
     SystemParams,
@@ -8,7 +9,6 @@ from relayec import (
     optimal_relay_power_hd,
     sinr_fd,
     snr_hd,
-    threshold_roots_hd,
 )
 
 

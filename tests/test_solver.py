@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import threshold_roots_hd
 from relayec import (
     ChannelSamples,
     EcPoint,
@@ -13,7 +15,6 @@ from relayec import (
     PowerAllocation,
     RelayMode,
     SystemParams,
-    apply_threshold_policy,
     ec_point,
     effective_capacity,
     fbl_rate,
@@ -26,8 +27,8 @@ from relayec import (
     snr_hd,
     solve_approx,
     solve_exact,
-    threshold_roots_hd,
 )
+import relayec.capacity as capacity_module
 import relayec.solver as solver_module
 from relayec.capacity import _kernel
 from relayec.solver import (
@@ -242,7 +243,7 @@ class TestThresholdPolicy:
         s = reference_samples()
         p = SystemParams.reference(gamma_t_a=0.0, gamma_t_b=0.0)
         rep = solve_exact(RelayMode.HD, s, p, apply_policy=False)
-        assert apply_threshold_policy(rep, RelayMode.HD, s, p) == rep
+        assert solver_module._threshold_policy(rep, RelayMode.HD, s, p, s.mean_gains()) == rep
 
     def test_unreachable_threshold_silences_node(self):
         s = reference_samples()
@@ -342,10 +343,30 @@ class TestLockstep:
         assert (report.iterations, report.objective_evals, report.alloc.p_r) == self.REPORTS[key]
 
     @pytest.mark.parametrize("x0", [None, 300.0])
-    def test_degenerate_approx_span_probed_once(self, x0):
+    def test_degenerate_approx_span_probed_once(self, x0, monkeypatch):
+        def unused(*args):  # the surrogate is not probed, so no prune runs
+            raise AssertionError("pruned a span that is not probed")
+
+        monkeypatch.setattr(solver_module, "_surrogate", unused)
         s = ChannelSamples(h_a=np.array([2.0, 3.0]), h_b=np.array([3.0, 2.0]))
         report = solve_approx(RelayMode.FD, s, SystemParams.reference(), x0=x0)
         assert (report.iterations, report.objective_evals, report.alloc.p_r) == (1, 1, 415.4093492798492)
+
+    @pytest.mark.parametrize("mode", list(RelayMode))
+    def test_prune_changes_no_report(self, mode, monkeypatch):
+        """A solve and a fig7-style weight batch report what they report when
+        the prune keeps every sample (an infinite margin), wall time aside."""
+        s = reference_samples(1000, d_a=0.3)
+        p = SystemParams.reference(d_a=0.3, omega=0.05, eps_a=1e-7, eps_b=1e-3)
+        ws = [float(w) for w in np.linspace(0.0, 1.0, 21)]
+
+        def reports():
+            batch = solver_module._solve_weights(mode, s, p, ws, SolveMethod.APPROXIMATE)
+            return [replace(r, wall_time=0.0) for r in [solve_approx(mode, s, p), *batch]]
+
+        pruned = reports()
+        monkeypatch.setattr(capacity_module, "_MARGIN", math.inf)
+        assert reports() == pruned
 
     @pytest.mark.parametrize("method", [SolveMethod.EXACT, SolveMethod.APPROXIMATE])
     def test_weighted_trace_matches_single_solves(self, method):
