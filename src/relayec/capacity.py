@@ -109,11 +109,6 @@ def rate_blocklength(params: SystemParams, mode: RelayMode) -> float:
     return params.m / 2.0 if params.hd_rate_blocklength == "m/2" else float(params.m)
 
 
-def exponent_blocklength(params: SystemParams, mode: RelayMode) -> float:
-    """Channel uses in the effective-capacity exponent (m/2 in HD, m in FD)."""
-    return float(params.m) if mode is RelayMode.FD else params.m / 2.0
-
-
 class _NodeTerms(NamedTuple):
     """Loop-invariant pieces of one node's estimator."""
 
@@ -181,7 +176,8 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
     sized at the largest chunk served; k times the block's samples stays
     within ``_BLOCK``.  The module docstring gives the buffer scope and the
     per-node columns.  A p or w whose length is not p_r's raises ValueError."""
-    m_cu, c = rate_blocklength(params, mode), exponent_blocklength(params, mode)
+    m_cu = rate_blocklength(params, mode)
+    c = float(params.m) if mode is RelayMode.FD else params.m / 2.0  # channel uses in the exponent
     bonus = rate_blocklength_bonus(m_cu)
     terms = [_node_terms(samples, params, node, m_cu, c) for node in nodes]
     omega, p_tot = params.omega_for(mode), params.p_tot

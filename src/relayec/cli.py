@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from statistics import mean, stdev
@@ -59,23 +58,31 @@ class ConfigError(Exception):
     pass
 
 
+# the config fields that make up a SystemParams, d_a and alpha through its geometry
+_SCENARIO_KEYS = (
+    "m", "p_tot", "alpha", "d_a", "omega", "eps_a", "eps_b",
+    "theta_a", "theta_b", "gamma_t_a", "gamma_t_b", "w", "hd_rate_blocklength",
+)
+_REFERENCE = SystemParams.reference()
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Scenario constants plus run controls for one experiment."""
+    """Scenario constants, by default the reference scenario's, plus run controls."""
 
-    m: int = 100
-    p_tot: float = 1000.0
-    alpha: float = 4.0
-    d_a: float = 0.5
-    omega: float = 0.1
-    eps_a: float = 1e-4
-    eps_b: float = 1e-4
-    theta_a: float = 1e-3
-    theta_b: float = 1e-3
-    gamma_t_a: float = 1.0
-    gamma_t_b: float = 1.0
-    w: float = 0.5
-    hd_rate_blocklength: str = "m/2"
+    m: int = _REFERENCE.m
+    p_tot: float = _REFERENCE.p_tot
+    alpha: float = _REFERENCE.geom.alpha
+    d_a: float = _REFERENCE.geom.d_a
+    omega: float = _REFERENCE.omega
+    eps_a: float = _REFERENCE.eps_a
+    eps_b: float = _REFERENCE.eps_b
+    theta_a: float = _REFERENCE.theta_a
+    theta_b: float = _REFERENCE.theta_b
+    gamma_t_a: float = _REFERENCE.gamma_t_a
+    gamma_t_b: float = _REFERENCE.gamma_t_b
+    w: float = _REFERENCE.w
+    hd_rate_blocklength: str = _REFERENCE.hd_rate_blocklength
     mode: str = "hd"
     samples: int = 1000
     seed: int = 7
@@ -105,24 +112,11 @@ class ExperimentConfig:
         if self.sweep_param == "p_r" and not all(0.0 <= x <= self.p_tot for x in self.sweep_values):
             raise ConfigError(f"p_r sweep values must lie in [0, p_tot = {self.p_tot}]")
 
-    def relay_mode(self) -> RelayMode:
-        return RelayMode(self.mode)
-
     def system_params(self) -> SystemParams:
         try:
             return SystemParams(
-                m=self.m,
-                p_tot=self.p_tot,
-                omega=self.omega,
-                eps_a=self.eps_a,
-                eps_b=self.eps_b,
-                theta_a=self.theta_a,
-                theta_b=self.theta_b,
-                geom=Geometry(d_a=self.d_a, alpha=self.alpha),
-                gamma_t_a=self.gamma_t_a,
-                gamma_t_b=self.gamma_t_b,
-                w=self.w,
-                hd_rate_blocklength=self.hd_rate_blocklength,
+                geom=Geometry(self.d_a, self.alpha),
+                **{k: getattr(self, k) for k in _SCENARIO_KEYS if k not in ("d_a", "alpha")},
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -133,8 +127,6 @@ class ExperimentConfig:
             v = getattr(self, f.name)
             if f.name == "sweep_values":
                 v = ",".join(repr(float(x)) for x in v)
-            elif isinstance(v, float):
-                v = repr(v)
             lines.append(f"{f.name} = {v}")
         return "\n".join(lines) + "\n"
 
@@ -144,6 +136,7 @@ class ExperimentConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+_KINDS = {"int": int, "float": float, "str": str}  # field type -> parser of a config value or flag
 
 
 def _parse_kv(text: str) -> dict:
@@ -170,11 +163,7 @@ def _coerce(key: str, value: str):
             if not value:
                 return ()
             return tuple(float(x) for x in value.split(","))
-        if kind == "int":
-            return int(value)
-        if kind == "float":
-            return float(value)
-        return value
+        return _KINDS[kind](value)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
 
@@ -268,31 +257,29 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
         raise ConfigError("config has no sweep axis")
     if not config.sweep_values:
         raise ConfigError("sweep grid is empty")
-    mode = config.relay_mode()
+    mode = RelayMode(config.mode)
     cfgs = [_apply_sweep_value(config, float(value)) for value in config.sweep_values]
     params = [cfg.system_params() for cfg in cfgs]
     geoms = {cfg.d_a: p.geom for cfg, p in zip(cfgs, params)}  # one sample set per placement
     drawn = {d_a: sample_channels(geom, config.samples, config.seed) for d_a, geom in geoms.items()}
     samples = [drawn[cfg.d_a] for cfg in cfgs]
 
+    method = "fixed" if config.sweep_param == "p_r" else config.method
     if config.sweep_param == "p_r":  # the points differ only in p_r: one kernel call for the curve
-        method = "fixed"
         allocs = [PowerAllocation.from_relay_power(float(x), params[0].p_tot) for x in config.sweep_values]
-        caps = _kernel(mode, samples[0], params[0], NODES)[0]([a.p_r for a in allocs], [a.p_node for a in allocs])
+        # node powers default to from_relay_power's (p_tot - p_r) / 2
+        caps = _kernel(mode, samples[0], params[0], NODES)[0]([a.p_r for a in allocs])
         reports = [  # no search
             SolveReport(a, EcPoint(r_ea, r_eb, a), None, None, 0, 0, 0.0) for a, (r_ea, r_eb) in zip(allocs, caps)
         ]
-    elif config.method == "equal":
-        method = "equal"
+    elif method == "equal":
         reports = []
         for s, p in zip(samples, params):
             alloc = PowerAllocation.equal_split(p.p_tot)
             reports.append(SolveReport(alloc, ec_point(mode, s, p, alloc), None, None, 0, 0, 0.0))  # no search
     elif config.sweep_param == "w":
-        method = config.method
         reports = _solve_weights(mode, samples[0], params[0], [p.w for p in params], SolveMethod(method))
     else:
-        method = config.method
         solver = solve_exact if method == "exact" else solve_approx
         reports = [solver(mode, s, p) for s, p in zip(samples, params)]
 
@@ -321,12 +308,12 @@ def run_bench(config: ExperimentConfig, repeats: int) -> list[dict]:
 
     One row per benchmark cell (error-probability grid in HD, residual
     self-interference grid in FD) with mean and standard deviation of the
-    wall time over ``repeats`` runs, the exact/approx time ratio, and the
-    solved outputs, which do not vary across repeats.
+    solves' own wall times over ``repeats`` runs, the exact/approx time
+    ratio, and the solved outputs, which do not vary across repeats.
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    mode = config.relay_mode()
+    mode = RelayMode(config.mode)
     cells = [("eps", e) for e in BENCH_EPS] if mode is RelayMode.HD else [("omega", o) for o in BENCH_OMEGA]
     rows = []
     for param_name, value in cells:
@@ -336,14 +323,11 @@ def run_bench(config: ExperimentConfig, repeats: int) -> list[dict]:
         samples = sample_channels(params.geom, cfg.samples, cfg.seed)
 
         t_exact, t_approx = [], []
-        rep_e = rep_a = None
         for _ in range(repeats):
-            t0 = time.perf_counter()
             rep_e = solve_exact(mode, samples, params)
-            t_exact.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
+            t_exact.append(rep_e.wall_time)
             rep_a = solve_approx(mode, samples, params)
-            t_approx.append(time.perf_counter() - t0)
+            t_approx.append(rep_a.wall_time)
 
         mean_e = mean(t_exact)
         mean_a = mean(t_approx)
@@ -467,15 +451,11 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", type=str, default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--samples", type=int, default=None)
-    common.add_argument("--mode", choices=("hd", "fd"), default=None)
-    common.add_argument("--omega", type=float, default=None)
-    common.add_argument("--w", type=float, default=None)
-    common.add_argument("--d-a", dest="d_a", type=float, default=None)
-    common.add_argument("--out", type=str, default=None)
-    common.add_argument("--format", choices=("csv", "json"), default=None)
-    common.add_argument("--method", choices=("exact", "approx"), default=None)
+    # each flag sets the config field of its name and parses as that field's type
+    choices = {"mode": ("hd", "fd"), "format": ("csv", "json"), "method": ("exact", "approx")}
+    for key in ("seed", "samples", "mode", "omega", "w", "d_a", "out", "format", "method"):
+        kind = _KINDS[_FIELD_TYPES[key]]
+        common.add_argument("--" + key.replace("_", "-"), type=kind, choices=choices.get(key), default=None)
     common.add_argument(
         "--paper-defaults", action="store_true",
         help="reset the scenario to the reference parameter set "
@@ -493,22 +473,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_SCENARIO_KEYS = (
-    "m", "p_tot", "alpha", "d_a", "omega", "eps_a", "eps_b",
-    "theta_a", "theta_b", "gamma_t_a", "gamma_t_b", "w", "hd_rate_blocklength",
-)
-
-
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     given = load_config(args.config) if args.config else {}
     values = dict(given)
-    if args.paper_defaults:
-        defaults = ExperimentConfig()
-        for key in _SCENARIO_KEYS:
-            values[key] = getattr(defaults, key)
-    for key in ("seed", "samples", "mode", "omega", "w", "d_a", "out", "format", "method"):
-        v = getattr(args, key, None)
-        if v is not None:
+    if args.paper_defaults:  # the class holds each field's default
+        values.update((key, getattr(ExperimentConfig, key)) for key in _SCENARIO_KEYS)
+    for key, v in vars(args).items():  # the flags that set a config field, where given
+        if key in _FIELD_TYPES and v is not None:
             values[key] = given[key] = v
     # a figure's defaults yield to the file and the flags, not to --paper-defaults
     fig = FIGURES.get(args.command)

@@ -84,20 +84,16 @@ class SystemParams:
         return replace(self, **changes)
 
     @classmethod
-    def reference(cls, **overrides) -> "SystemParams":
+    def reference(
+        cls, *, d_a: float = 0.5, alpha: float = 4.0, geom: Geometry | None = None, **overrides
+    ) -> "SystemParams":
         """The reference scenario used by the experiment suite.
 
         m=100 channel uses, P_tot=1000 W, path-loss exponent 4, error
         probability 1e-4 and QoS exponent 1e-3 at both nodes, relay at the
-        midpoint, SNR thresholds 1, equal priority.
+        midpoint (a ``geom`` wins over ``d_a`` and ``alpha``), SNR thresholds
+        1, equal priority.
         """
-        geom_kw = {}
-        for k in ("d_a", "alpha"):
-            if k in overrides:
-                geom_kw[k] = overrides.pop(k)
-        geom = overrides.pop("geom", None) or Geometry(
-            d_a=geom_kw.get("d_a", 0.5), alpha=geom_kw.get("alpha", 4.0)
-        )
         base = dict(
             m=100,
             p_tot=1000.0,
@@ -106,13 +102,12 @@ class SystemParams:
             eps_b=1e-4,
             theta_a=1e-3,
             theta_b=1e-3,
-            geom=geom,
+            geom=geom or Geometry(d_a, alpha),
             gamma_t_a=1.0,
             gamma_t_b=1.0,
             w=0.5,
         )
-        base.update(overrides)
-        return cls(**base)
+        return cls(**{**base, **overrides})
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,7 @@ class SolveReport:
     silenced: Optional[str]
     iterations: int
     objective_evals: int
-    wall_time: float
+    wall_time: float  # seconds of this solve, or of its lockstep batch, shared by the batch's reports
     degenerate: bool = False
 
 
@@ -395,6 +395,17 @@ def _dominance_mask(points: Sequence[EcPoint], tol: float) -> list[bool]:
     ]
 
 
+def _frontier(points: Sequence[EcPoint], grid: Sequence[float], method: SolveMethod, infeasible=()) -> ParetoFrontier:
+    """The points no other beats by ``DOMINANCE_TOL`` in both capacities, with their grid values."""
+    mask = _dominance_mask(points, DOMINANCE_TOL)
+    return ParetoFrontier(
+        points=tuple(p for p, keep in zip(points, mask) if keep),
+        method=method,
+        parameter_grid=tuple(float(x) for x, keep in zip(grid, mask) if keep),
+        infeasible=infeasible,
+    )
+
+
 def pareto_weighted(
     mode: RelayMode,
     samples: ChannelSamples,
@@ -408,13 +419,8 @@ def pareto_weighted(
     for w in w_grid:
         if not 0.0 <= w <= 1.0:
             raise ValueError(f"weights must lie in [0, 1], got {w}")
-    points = [report.ec for report in _solve_weights(mode, samples, params, list(w_grid), method)]
-    mask = _dominance_mask(points, DOMINANCE_TOL)
-    return ParetoFrontier(
-        points=tuple(p for p, keep in zip(points, mask) if keep),
-        method=method,
-        parameter_grid=tuple(float(w) for w, keep in zip(w_grid, mask) if keep),
-    )
+    reports = _solve_weights(mode, samples, params, list(w_grid), method)
+    return _frontier([report.ec for report in reports], w_grid, method)
 
 
 def _crossing(x_bad: float, f_bad: float, x_good: float, f_good: float, tol: float):
@@ -512,10 +518,5 @@ def pareto_epsilon_constraint(
         EcPoint(r_ea=r_ea, r_eb=r_eb, alloc=PowerAllocation.from_relay_power(x, params.p_tot))
         for x, (r_ea, r_eb) in zip(xs, _kernel(mode, samples, params, NODES)[0](xs))
     ]
-    mask = _dominance_mask(points, DOMINANCE_TOL)
-    return ParetoFrontier(
-        points=tuple(p for p, keep in zip(points, mask) if keep),
-        method=SolveMethod.EPSILON_CONSTRAINT,
-        parameter_grid=tuple(m for m, keep in zip(feasible_mu, mask) if keep),
-        infeasible=tuple(float(mu) for mu in mu_grid if mu > eb_peak),
-    )
+    infeasible = tuple(float(mu) for mu in mu_grid if mu > eb_peak)
+    return _frontier(points, feasible_mu, SolveMethod.EPSILON_CONSTRAINT, infeasible)

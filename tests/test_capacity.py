@@ -547,3 +547,23 @@ def test_prune_keeps_few_samples(mode, monkeypatch):
     monkeypatch.setattr(capacity, "_kernel", spy)
     assert capacity._surrogate(mode, s, p, [0.2, 0.5], 400.0, 700.0)(xs, ws) == full
     assert len(built) == 1 and 1 <= built[0] <= 30
+
+
+def test_prune_bound_counts_clipped_peaks(monkeypatch):
+    # At w = 1 on [50, 950], sample 0's rate reads 4.88 and 4.02 at the ends and
+    # 6.78 at its clipped closed-form peak; sample 1's reads 4.95 at both ends.
+    # U_0 must count the peak: from the end values alone it would read 4.88,
+    # which g_0 exceeds inside the span, and keep sample 0 only.  tau cannot
+    # tell (sample 0 stays the least here), so the kept count is what shows it.
+    s = ChannelSamples(np.array([1e3, 2.0]), np.array([1.0, 2.0]))
+    p = SystemParams.reference(w=1.0)
+    built = []
+
+    def spy(mode, samples, params, nodes):
+        built.append(len(samples))
+        return _kernel(mode, samples, params, nodes)
+
+    monkeypatch.setattr(capacity, "_FLOAT_SAMPLES", 0)  # the kept samples go to the kernel, through the spy
+    monkeypatch.setattr(capacity, "_kernel", spy)
+    capacity._surrogate(RelayMode.HD, s, p, [1.0], 50.0, 950.0)
+    assert built == [2]

@@ -166,6 +166,15 @@ class TestCsv:
         assert np.array_equal(back.h_b, s.h_b)
         assert path.read_text().splitlines()[0] == "h_a,h_b"
 
+    def test_exact_bytes(self, tmp_path):
+        # shortest round-trip reprs, a denormal and both extremes included
+        gains = [5e-324, 1e-300, 0.1, 1.0 / 3.0, 1e300]
+        path = tmp_path / "samples.csv"
+        save_csv(ChannelSamples(np.array(gains), np.array(gains[::-1])), path)
+        assert path.read_bytes() == (
+            b"h_a,h_b\n5e-324,1e+300\n1e-300,0.3333333333333333\n0.1,0.1\n0.3333333333333333,1e-300\n1e+300,5e-324\n"
+        )
+
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1.0,2.0\n")

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,7 +14,10 @@ import pytest
 import relayec.cli as cli
 from relayec import PowerAllocation, RelayMode, ec_point, sample_channels, solve_approx, solve_exact
 from relayec.cli import (
+    BENCH_FILE_COLUMNS,
     FIGURES,
+    PARETO_COLUMNS,
+    SWEEP_COLUMNS,
     ConfigError,
     ExperimentConfig,
     _build_parser,
@@ -429,3 +433,15 @@ class TestMain:
         assert main(["fig8", "--config", str(cfgfile), "--samples", "5", "--seed", "7", "--out", str(out)]) == 0
         with out.open() as fh:
             assert len(list(csv.DictReader(fh))) > 0
+
+
+@pytest.mark.parametrize(
+    "section, columns",
+    (("Sweep tables", SWEEP_COLUMNS), ("Frontier table", PARETO_COLUMNS), ("Benchmark table", BENCH_FILE_COLUMNS)),
+)
+def test_columns_doc_matches_code(section, columns):
+    # docs/columns.md promises its tables list the columns in emission order
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "columns.md").read_text()
+    body = doc.split(f"## {section}", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in body.splitlines() if line.startswith("| `")]
+    assert [name for cell in rows for name in re.findall(r"`([^`]+)`", cell)] == columns

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import threshold_roots_hd
 from relayec import (
+    Geometry,
     PowerAllocation,
     SystemParams,
     optimal_relay_power_fd,
@@ -68,6 +69,17 @@ class TestSystemParams:
     def test_reference_overrides(self):
         p = SystemParams.reference(d_a=0.2, omega=0.05, w=0.9)
         assert p.geom.d_a == 0.2 and p.omega == 0.05 and p.w == 0.9
+
+    def test_reference_geometry(self):
+        geom = Geometry(d_a=0.2, alpha=3.0)
+        assert SystemParams.reference(geom=geom, d_a=0.7, alpha=2.0).geom is geom  # geom wins
+        assert SystemParams.reference(geom=None).geom == Geometry(d_a=0.5, alpha=4.0)
+        p = SystemParams.reference(d_a=0.7, alpha=2.0, m=50, hd_rate_blocklength="m")
+        assert p.geom == Geometry(d_a=0.7, alpha=2.0) and (p.m, p.hd_rate_blocklength) == (50, "m")
+
+    def test_reference_rejects_unknown_key(self):
+        with pytest.raises(TypeError):
+            SystemParams.reference(d_b=0.5)
 
     def test_per_node_accessors(self):
         p = SystemParams.reference(eps_a=1e-3, eps_b=1e-5, theta_b=0.01)
