@@ -157,10 +157,10 @@ def _rows(fn):
 
 def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, nodes):
     """The blocked kernel for ``nodes`` as two closures over K >= 1 relay
-    powers p_r with node powers p (by default the budget left after p_r,
-    split): ``capacities(p_r, p)``, per row a list of per-node capacities,
-    and, for both nodes, ``taus(p_r, w, p)``, per row the min-max surrogate
-    at the row's weight, each bit for bit what a one-row call returns.
+    powers p_r: ``capacities(p_r, p)``, per row a list of per-node capacities
+    at node powers p (by default the budget left after p_r, split), and, for
+    both nodes, ``taus(p_r, w)``, per row the min-max surrogate at the row's
+    weight and default split, each bit for bit what a one-row call returns.
 
     The surrogate drops the expectation: tau is the worst sample's weighted
     rate term,
@@ -266,9 +266,9 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
         ]
 
     @_rows
-    def taus(p_r, w, p=None) -> list:
+    def taus(p_r, w) -> list:
         low = np.empty((len(blocks), len(p_r)))  # per block and row: the minimum
-        for b, at, (r_a, r_b), _ in rates(p_r, p):
+        for b, at, (r_a, r_b), _ in rates(p_r, None):
             w_a = w[at] if isinstance(at, int) else np.array(w[at])[:, None]
             np.multiply(r_a, w_a, r_a)
             np.multiply(r_b, 1.0 - w_a, r_b)

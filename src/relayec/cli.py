@@ -30,8 +30,12 @@ from .solver import solve_approx, solve_exact
 EPS_GRID = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 PR_GRID_POINTS = 200
 FIG8_SCENARIOS = ((0.5, 0.01), (0.2, 0.01), (0.2, 0.10), (0.5, 0.10))
+# the config fields fig8_rows sets per scenario or never reads: it sweeps w and traces exactly
+FIG8_FIXED = {"mode", "d_a", "omega", "w", "method"}
 BENCH_EPS = (1e-8, 1e-5, 1e-2)
 BENCH_OMEGA = (0.01, 0.05, 0.10)
+# the config fields bench_rows sets per cell or never reads: it runs both modes and both solvers
+BENCH_FIXED = {"mode", "omega", "method"}
 W_GRID = tuple(np.linspace(0.0, 1.0, 21))
 THETA_GRID = tuple(np.logspace(-4.0, -1.0, 10))
 
@@ -303,22 +307,20 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def run_bench(config: ExperimentConfig, repeats: int) -> list[dict]:
-    """Timing comparison of the exact and approximate solvers.
+def bench_rows(config: ExperimentConfig, repeats: int) -> list[dict]:
+    """Exact against approximate solve times per benchmark cell, HD then FD.
 
-    One row per benchmark cell (error-probability grid in HD, residual
-    self-interference grid in FD) with mean and standard deviation of the
-    solves' own wall times over ``repeats`` runs, the exact/approx time
-    ratio, and the solved outputs, which do not vary across repeats.
+    One row per cell (error-probability grid in HD, residual self-interference
+    grid in FD) with mean and standard deviation of the solves' own wall
+    times over ``repeats`` runs, the exact/approx time ratio, and the solved
+    outputs, which do not vary across repeats; also printed to stdout.
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    mode = RelayMode(config.mode)
-    cells = [("eps", e) for e in BENCH_EPS] if mode is RelayMode.HD else [("omega", o) for o in BENCH_OMEGA]
+    cells = [(RelayMode.HD, "eps", e) for e in BENCH_EPS] + [(RelayMode.FD, "omega", o) for o in BENCH_OMEGA]
     rows = []
-    for param_name, value in cells:
-        cfg = replace(config, sweep_param=param_name)
-        cfg = _apply_sweep_value(cfg, value)
+    for mode, param_name, value in cells:
+        cfg = replace(config, **dict.fromkeys(SWEEP_FIELDS[param_name], value))
         params = cfg.system_params()
         samples = sample_channels(params.geom, cfg.samples, cfg.seed)
 
@@ -332,7 +334,7 @@ def run_bench(config: ExperimentConfig, repeats: int) -> list[dict]:
         mean_e = mean(t_exact)
         mean_a = mean(t_approx)
         rows.append({
-            "mode": cfg.mode,
+            "mode": mode.value,
             "param_name": param_name,
             "param_value": float(value),
             "samples": cfg.samples,
@@ -350,6 +352,14 @@ def run_bench(config: ExperimentConfig, repeats: int) -> list[dict]:
             "std_ms_approx": 1e3 * (stdev(t_approx) if repeats > 1 else 0.0),
             "time_ratio": mean_e / mean_a,
         })
+    print(f"{'mode':<5} {'param':<6} {'value':>8} {'exact ms':>12} {'approx ms':>12} {'ratio':>7}")
+    for r in rows:
+        print(
+            f"{r['mode']:<5} {r['param_name']:<6} {r['param_value']:>8g} "
+            f"{r['mean_ms_exact']:>8.2f}±{r['std_ms_exact']:<5.2f} "
+            f"{r['mean_ms_approx']:>8.2f}±{r['std_ms_approx']:<5.2f} "
+            f"{r['time_ratio']:>7.2f}"
+        )
     return rows
 
 
@@ -359,6 +369,9 @@ def run_bench(config: ExperimentConfig, repeats: int) -> list[dict]:
 def _pr_grid(cfg: ExperimentConfig) -> tuple:
     if cfg.sweep_param == "p_r" and cfg.sweep_values:
         return cfg.sweep_values
+    if cfg.p_tot < 2.0:  # the default grid would run backwards
+        raise ConfigError(f"the default p_r grid [1, p_tot - 1] needs p_tot >= 2, got {cfg.p_tot}; "
+                          "set sweep_param = p_r and sweep_values = a,b,... in a config file")
     return tuple(np.linspace(1.0, cfg.p_tot - 1.0, PR_GRID_POINTS))
 
 
@@ -372,6 +385,12 @@ class Figure(NamedTuple):
     grid: tuple
     curves: tuple
     defaults: dict = {}
+
+    @property
+    def fixed(self) -> set:
+        """The config fields it sets itself: the axis's, every curve's, and an unsolved p_r axis's method."""
+        every_curve = set.intersection(*map(set, self.curves))
+        return every_curve.union(SWEEP_FIELDS[self.axis], ["method"] if self.axis == "p_r" else [])
 
 
 STRATEGIES = ("exact", "approx", "equal")
@@ -415,8 +434,8 @@ def fig8_rows(cfg: ExperimentConfig) -> list[dict]:
     """FD capacity frontiers by the weighted-sum and floor-constraint
     methods, per (placement, self-interference) scenario.
 
-    Both traces run on the exact estimator objectives regardless of the
-    configured method, so the comparison isolates the scalarization; the
+    Both traces run on the exact estimator objectives, whatever method a
+    config file names, so the comparison isolates the scalarization; the
     floor grid reuses the weighted frontier's node-B capacities so the two
     traces sample the same frontier locations.
     """
@@ -449,25 +468,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", type=str, default=None)
-    # each flag sets the config field of its name and parses as that field's type
-    choices = {"mode": ("hd", "fd"), "format": ("csv", "json"), "method": ("exact", "approx")}
-    for key in ("seed", "samples", "mode", "omega", "w", "d_a", "out", "format", "method"):
-        kind = _KINDS[_FIELD_TYPES[key]]
-        common.add_argument("--" + key.replace("_", "-"), type=kind, choices=choices.get(key), default=None)
-    common.add_argument(
-        "--paper-defaults", action="store_true",
-        help="reset the scenario to the reference parameter set "
-        "(m=100, P_tot=1000, alpha=4, eps=1e-4, theta=1e-3, d_a=0.5, gamma_t=1)",
-    )
-
     parser = _Parser(prog="relayec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {name: fig.help for name, fig in FIGURES.items()}
-    helps.update((name, fn.__doc__.split("\n\n")[0]) for name, fn in (("fig8", fig8_rows), ("bench", bench_rows)))
-    for name, text in helps.items():
-        p = sub.add_parser(name, parents=[common], help=text)
+    # per subcommand: its help line and the config fields it sets itself
+    commands = {name: (fig.help, fig.fixed) for name, fig in FIGURES.items()}
+    for name, fn, fixed in (("fig8", fig8_rows, FIG8_FIXED), ("bench", bench_rows, BENCH_FIXED)):
+        commands[name] = (fn.__doc__.split("\n\n")[0], fixed)
+    choices = {"mode": ("hd", "fd"), "format": ("csv", "json"), "method": ("exact", "approx")}
+    for name, (text, fixed) in commands.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", type=str, default=None)
+        # a flag per config field the subcommand does not set itself, parsed as that field's type
+        for key in ("seed", "samples", "mode", "omega", "w", "d_a", "out", "format", "method"):
+            if key not in fixed:
+                kind = _KINDS[_FIELD_TYPES[key]]
+                p.add_argument("--" + key.replace("_", "-"), type=kind, choices=choices.get(key), default=None)
+        p.add_argument(
+            "--paper-defaults", action="store_true",
+            help="reset the scenario to the reference parameter set "
+            "(m=100, P_tot=1000, alpha=4, eps=1e-4, theta=1e-3, d_a=0.5, gamma_t=1)",
+        )
         if name == "bench":
             p.add_argument("--repeats", type=int, default=100)
     return parser
@@ -488,26 +508,6 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         return ExperimentConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def bench_rows(cfg: ExperimentConfig, repeats: int) -> list[dict]:
-    """Exact against approximate solve times per benchmark cell, HD then FD.
-
-    Prints the timing table to stdout and returns the deterministic file
-    columns.
-    """
-    rows = []
-    for mode in ("hd", "fd"):
-        rows.extend(run_bench(replace(cfg, mode=mode), repeats))
-    print(f"{'mode':<5} {'param':<6} {'value':>8} {'exact ms':>12} {'approx ms':>12} {'ratio':>7}")
-    for r in rows:
-        print(
-            f"{r['mode']:<5} {r['param_name']:<6} {r['param_value']:>8g} "
-            f"{r['mean_ms_exact']:>8.2f}±{r['std_ms_exact']:<5.2f} "
-            f"{r['mean_ms_approx']:>8.2f}±{r['std_ms_approx']:<5.2f} "
-            f"{r['time_ratio']:>7.2f}"
-        )
-    return [{c: r[c] for c in BENCH_FILE_COLUMNS} for r in rows]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -195,7 +195,6 @@ def maximize_unimodal(
     hi: float,
     tol: float,
     x0: Optional[float] = None,
-    grad_tol: Optional[float] = None,
 ) -> tuple[float, float]:
     """Golden-section maximization of a unimodal scalar function.
 
@@ -204,12 +203,10 @@ def maximize_unimodal(
     first brackets the maximum by geometric expansion around it, which
     costs fewer evaluations when the start is good and, for a function
     with several local maxima, keeps the search in the start point's
-    basin.  ``grad_tol``, when given, additionally requires the last
-    two-point slope estimate to fall below it before stopping.  Non-finite
-    inputs and ``tol <= 0`` raise ``ValueError``.
+    basin.  Non-finite inputs and ``tol <= 0`` raise ``ValueError``.
     """
     _check_search(lo, hi, tol, x0)
-    res = _drive(_line_search(lo, hi, tol, x0, grad_tol), f)
+    res = _drive(_line_search(lo, hi, tol, x0, None), f)
     return res.x, res.fx
 
 
@@ -245,7 +242,7 @@ def _solve_weights(
     params: SystemParams,
     weights: Sequence[float],
     method: SolveMethod,
-    x0: Optional[float] = None,
+    *,
     apply_policy: bool = True,
 ) -> list[SolveReport]:
     """Solve the exact or the approximate problem at every weight, with all
@@ -254,7 +251,7 @@ def _solve_weights(
     reports share the batch's wall time."""
     t0 = time.perf_counter()
     tol = line_search_tolerance(params)
-    _check_search(0.0, params.p_tot, tol, x0)
+    _check_search(0.0, params.p_tot, tol, None)
     gains = samples.mean_gains()
     p_a, p_b = _single_node_optima(mode, gains, params)
     capacities = _kernel(mode, samples, params, NODES)[0]
@@ -271,10 +268,7 @@ def _solve_weights(
             return values
 
         # Warm started at the weight's blend of the closed-form single-node optima.
-        searches = [
-            _line_search(0.0, params.p_tot, tol, w * p_a + (1.0 - w) * p_b if x0 is None else x0, 0.1)
-            for w in weights
-        ]
+        searches = [_line_search(0.0, params.p_tot, tol, w * p_a + (1.0 - w) * p_b, 0.1) for w in weights]
     else:
         def evaluate(rows: list, xs: list) -> list:
             for i in rows:
@@ -283,14 +277,10 @@ def _solve_weights(
 
         lo, hi = min(p_a, p_b), max(p_a, p_b)
         # The closed-form optima localize the search: a plain golden section over
-        # their span, or with a start point bracket expansion around it (clipped
-        # into the span), every probe in [lo, hi].  A span within tol probes
-        # nothing: its midpoint or start is evaluated for the capacities only.
-        start = None if x0 is None else min(max(x0, lo), hi)
-        if hi - lo <= tol and start is not None:
-            lo, hi, start = start, start, None
+        # their span, every probe in [lo, hi].  A span within tol probes nothing:
+        # its midpoint is evaluated for the capacities only.
         taus = _surrogate(mode, samples, params, weights, lo, hi) if hi - lo > tol else None
-        searches = [_line_search(lo, hi, tol, start, 0.1, probe_x=False) for _ in weights]
+        searches = [_line_search(lo, hi, tol, None, 0.1, probe_x=False) for _ in weights]
     results = _lockstep(searches, evaluate)
 
     # A probe trail that is not single-peaked falls back to a grid scan.
@@ -320,7 +310,7 @@ def solve_exact(
     mode: RelayMode,
     samples: ChannelSamples,
     params: SystemParams,
-    x0: Optional[float] = None,
+    *,
     apply_policy: bool = True,
 ) -> SolveReport:
     """Minimize the exact Monte-Carlo weighted objective over relay power.
@@ -332,14 +322,14 @@ def solve_exact(
     proven to be) triggers a 1024-point grid scan with local refinement.
     The capacities reported are those of the search's final probe.
     """
-    return _solve_weights(mode, samples, params, (params.w,), SolveMethod.EXACT, x0, apply_policy)[0]
+    return _solve_weights(mode, samples, params, (params.w,), SolveMethod.EXACT, apply_policy=apply_policy)[0]
 
 
 def solve_approx(
     mode: RelayMode,
     samples: ChannelSamples,
     params: SystemParams,
-    x0: Optional[float] = None,
+    *,
     apply_policy: bool = True,
 ) -> SolveReport:
     """Minimize the min-max surrogate over relay power.
@@ -354,7 +344,7 @@ def solve_approx(
     the samples whose weighted rate can be the worst on that interval, so
     each probe costs O(kept samples); the final capacities use every sample.
     """
-    return _solve_weights(mode, samples, params, (params.w,), SolveMethod.APPROXIMATE, x0, apply_policy)[0]
+    return _solve_weights(mode, samples, params, (params.w,), SolveMethod.APPROXIMATE, apply_policy=apply_policy)[0]
 
 
 def _threshold_policy(

@@ -34,7 +34,7 @@ from relayec import (
     solve_approx,
     solve_exact,
 )
-from relayec.cli import ExperimentConfig, main, run_bench
+from relayec.cli import ExperimentConfig, bench_rows, main
 from relayec.solver import SolveMethod
 
 N = 1000
@@ -392,9 +392,7 @@ def test_c08b_frontier_span_anchors():
 
 def test_c09_timing_ratio():
     """Criterion 9: exact/approx mean wall-time ratio > 1.5 in every cell."""
-    rows = []
-    for mode in ("hd", "fd"):
-        rows.extend(run_bench(ExperimentConfig(samples=N, seed=SEED, mode=mode), repeats=100))
+    rows = bench_rows(ExperimentConfig(samples=N, seed=SEED), repeats=100)
     ratios = {(r["mode"], r["param_value"]): r["time_ratio"] for r in rows}
     ok = all(v > 1.5 for v in ratios.values())
     detail = ", ".join(f"{m}@{p:g}: {v:.2f}" for (m, p), v in ratios.items())

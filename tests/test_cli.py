@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -21,11 +22,11 @@ from relayec.cli import (
     ConfigError,
     ExperimentConfig,
     _build_parser,
+    bench_rows,
     emit_table,
     figure_rows,
     load_config,
     main,
-    run_bench,
     run_sweep,
 )
 
@@ -276,22 +277,25 @@ class TestFigures:
 
 class TestRunBench:
     def test_results_independent_of_repeats(self):
-        cfg = small_cfg(mode="hd", samples=100)
-        r1 = run_bench(cfg, repeats=1)
-        r3 = run_bench(cfg, repeats=3)
+        cfg = small_cfg(samples=100)
+        r1 = bench_rows(cfg, repeats=1)
+        r3 = bench_rows(cfg, repeats=3)
         for a, b in zip(r1, r3):
             assert a["p_r_exact"] == b["p_r_exact"]
             assert a["p_r_approx"] == b["p_r_approx"]
             assert a["wsum_exact"] == b["wsum_exact"]
 
     def test_cells(self):
-        rows = run_bench(small_cfg(mode="fd", samples=100), repeats=1)
-        assert [r["param_value"] for r in rows] == [0.01, 0.05, 0.10]
+        rows = bench_rows(small_cfg(samples=100), repeats=1)
+        assert [(r["mode"], r["param_name"], r["param_value"]) for r in rows] == [
+            ("hd", "eps", 1e-8), ("hd", "eps", 1e-5), ("hd", "eps", 1e-2),
+            ("fd", "omega", 0.01), ("fd", "omega", 0.05), ("fd", "omega", 0.10),
+        ]
         assert all(r["mean_ms_exact"] > 0 for r in rows)
 
     def test_bad_repeats(self):
         with pytest.raises(ConfigError):
-            run_bench(small_cfg(), repeats=0)
+            bench_rows(small_cfg(), repeats=0)
 
 
 class TestMain:
@@ -320,7 +324,7 @@ class TestMain:
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
 
     def test_config_error_exit_code(self, tmp_path, capsys):
-        assert main(["fig4", "--mode", "xx", "--out", str(tmp_path / "x.csv")]) == 1
+        assert main(["fig4", "--format", "xx", "--out", str(tmp_path / "x.csv")]) == 1
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("source", ["flag", "file"])
@@ -424,6 +428,20 @@ class TestMain:
             row = next(csv.DictReader(fh))
         assert row["d_a"] == "0.9"
 
+    @pytest.mark.parametrize("command", ["fig2", "fig3"])
+    def test_small_budget_needs_a_relay_power_grid(self, tmp_path, capsys, command):
+        # below p_tot = 2 the default grid linspace(1, p_tot - 1) would run backwards
+        cfgfile, out = tmp_path / "run.cfg", tmp_path / "x.csv"
+        argv = [command, "--config", str(cfgfile), "--samples", "20", "--out", str(out)]
+        cfgfile.write_text("p_tot = 1.5\n")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "default p_r grid" in err and "sweep_values" in err
+        assert not out.exists()
+        cfgfile.write_text("p_tot = 1.5\nsweep_param = p_r\nsweep_values = 0.2,0.5,1.0\n")
+        assert main(argv) == 0
+        assert len(out.read_text().splitlines()) == 1 + 3 * 3  # header + curves x grid
+
     def test_fig8_with_capacity_at_its_ceiling(self, tmp_path):
         # at theta = 0.1 node B's capacity saturates at -ln(eps_b) / (m theta_b),
         # so the top floor equals its peak on a plateau
@@ -445,3 +463,51 @@ def test_columns_doc_matches_code(section, columns):
     body = doc.split(f"## {section}", 1)[1].split("\n## ", 1)[0]
     rows = [line.split("|")[1] for line in body.splitlines() if line.startswith("| `")]
     assert [name for cell in rows for name in re.findall(r"`([^`]+)`", cell)] == columns
+
+
+# a value other than the default of each config field a flag can set; --out is left out, as it moves the file
+FLAG_PROBES = {
+    "seed": "8", "samples": "21", "mode": "fd", "omega": "0.2",
+    "w": "0.3", "d_a": "0.3", "format": "json", "method": "exact",
+}
+
+
+@pytest.mark.parametrize("command", (*FIGURES, "fig8", "bench"))
+def test_offered_flags_are_the_fields_read(tmp_path, capsys, command):
+    """A flag a subcommand offers changes its output file; one it does not
+    offer is rejected, and the same field in a config file changes nothing."""
+    out, cfgfile = tmp_path / "out", tmp_path / "run.cfg"
+
+    def run(*args):
+        extra = ["--repeats", "1"] if command == "bench" else []
+        code = main([command, "--samples", "20", *extra, "--out", str(out), *args])
+        return code, out.read_bytes() if code == 0 else None
+
+    code, base = run()
+    assert code == 0
+    for key, value in FLAG_PROBES.items():
+        code, data = run("--" + key.replace("_", "-"), value)
+        if code == 0:
+            assert data != base, key
+            continue
+        assert code == 1 and "unrecognized arguments" in capsys.readouterr().err, key
+        cfgfile.write_text(f"{key} = {value}\n")
+        assert run("--config", str(cfgfile)) == (0, base), key
+
+
+def test_readme_flags_match_parser():
+    # README's "Command line" section lists the flags every subcommand takes, then each one's own
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    body = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    common = next(par for par in body.split("\n\n") if par.startswith("Every subcommand takes"))
+    listed = {
+        line.split("`")[1]: set(re.findall(r"`(--[a-z-]+)", common + line))
+        for line in body.splitlines()
+        if line.startswith("- `")
+    }
+    (commands,) = [a.choices for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    offered = {
+        name: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
+        for name, p in commands.items()
+    }
+    assert listed == offered
