@@ -63,20 +63,15 @@ def _ndtri(y: float) -> float:
     return x if upper else -x
 
 
-def inverse_q(p):
+def inverse_q(p: float) -> float:
     """Inverse of the Gaussian tail: the x with Q(x) = p, i.e. -ndtri(p).
 
-    Accepts scalars or arrays; every entry must lie strictly inside (0, 1).
-    Odd symmetry holds: inverse_q(1 - p) == -inverse_q(p).
+    ``p`` must be a float (or numpy floating scalar) strictly inside
+    (0, 1).  Odd symmetry holds: inverse_q(1 - p) == -inverse_q(p).
     """
-    scalar = isinstance(p, float)  # skips the array round trip
-    arr = p if scalar else np.asarray(p, dtype=float)
-    inside = 0.0 < arr < 1.0 if scalar else np.all((arr > 0.0) & (arr < 1.0))  # False for NaN
-    if not inside:
-        raise ValueError(f"inverse_q requires 0 < p < 1, got {p!r}")
-    if scalar or arr.ndim == 0:
-        return -_ndtri(float(arr))
-    return np.array([-_ndtri(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
+    if not (isinstance(p, (float, np.floating)) and 0.0 < p < 1.0):  # False for NaN
+        raise ValueError(f"inverse_q requires a float 0 < p < 1, got {p!r}")
+    return -_ndtri(float(p))
 
 
 def rate_dispersion_scale(m_cu: float, eps: float) -> float:

@@ -85,7 +85,6 @@ class ParetoFrontier:
 @dataclass
 class _SearchResult:
     x: float
-    fx: float
     iterations: int
     evals: int
     probes: list[tuple[float, float]]
@@ -97,12 +96,11 @@ def _probe(probes: list, x: float):
     return fx
 
 
-def _line_search(
-    lo: float, hi: float, tol: float, x0: Optional[float], grad_tol: Optional[float], probe_x: bool = True
-):
+def _line_search(lo: float, hi: float, tol: float, x0: Optional[float]):
     """Golden-section maximization as a generator: yields each probe x,
-    takes f(x) back by ``send`` and returns a :class:`_SearchResult`.  With
-    ``probe_x`` false the returned midpoint is left unprobed (fx NaN)."""
+    takes f(x) back by ``send`` and returns a :class:`_SearchResult`.  The
+    search stops once its bracket is no wider than ``tol``, or after
+    ``MAX_ITER`` iterations, and returns the bracket's midpoint unprobed."""
     probes: list[tuple[float, float]] = []
     iters = 0
     a, b = lo, hi
@@ -139,7 +137,7 @@ def _line_search(
     if b - a > tol:
         fc = yield from _probe(probes, c)
         fd = yield from _probe(probes, d)
-        while iters < MAX_ITER:
+        while b - a > tol and iters < MAX_ITER:
             iters += 1
             if fc > fd:
                 b, d, fd = d, c, fc
@@ -149,16 +147,8 @@ def _line_search(
                 a, c, fc = c, d, fd
                 d = a + INVPHI * (b - a)
                 fd = yield from _probe(probes, d)
-            if b - a <= tol:
-                if grad_tol is None or c == d:
-                    break
-                slope = abs(fc - fd) / abs(c - d)
-                if slope <= grad_tol:
-                    break
 
-    x = 0.5 * (a + b)
-    fx = (yield from _probe(probes, x)) if probe_x else math.nan
-    return _SearchResult(x=x, fx=fx, iterations=max(iters, 1), evals=len(probes), probes=probes)
+    return _SearchResult(x=0.5 * (a + b), iterations=max(iters, 1), evals=len(probes), probes=probes)
 
 
 def _lockstep(searches: Sequence, evaluate: Callable[[list, list], list]) -> list:
@@ -198,16 +188,16 @@ def maximize_unimodal(
 ) -> tuple[float, float]:
     """Golden-section maximization of a unimodal scalar function.
 
-    Shrinks a bracket on [lo, hi] until its width drops below ``tol`` and
-    returns the midpoint with its value.  An optional start point ``x0``
+    Shrinks a bracket on [lo, hi] until it is no wider than ``tol`` and
+    returns its midpoint with the value there.  An optional start point ``x0``
     first brackets the maximum by geometric expansion around it, which
     costs fewer evaluations when the start is good and, for a function
     with several local maxima, keeps the search in the start point's
     basin.  Non-finite inputs and ``tol <= 0`` raise ``ValueError``.
     """
     _check_search(lo, hi, tol, x0)
-    res = _drive(_line_search(lo, hi, tol, x0, None), f)
-    return res.x, res.fx
+    x = _drive(_line_search(lo, hi, tol, x0), f).x
+    return x, f(x)
 
 
 def _has_interior_valley(probes: Sequence[tuple[float, float]]) -> bool:
@@ -255,52 +245,43 @@ def _solve_weights(
     gains = samples.mean_gains()
     p_a, p_b = _single_node_optima(mode, gains, params)
     capacities = _kernel(mode, samples, params, NODES)[0]
-    evals = [0] * len(weights)
-    last = [None] * len(weights)  # capacities at each search's latest probe
     exact = method is SolveMethod.EXACT
     if exact:
         def evaluate(rows: list, xs: list) -> list:
-            values = []
-            for i, (r_ea, r_eb) in zip(rows, capacities(xs)):
-                evals[i] += 1
-                last[i] = (r_ea, r_eb)
-                values.append(weights[i] * r_ea + (1.0 - weights[i]) * r_eb)
-            return values
+            return [weights[i] * r_ea + (1.0 - weights[i]) * r_eb for i, (r_ea, r_eb) in zip(rows, capacities(xs))]
 
         # Warm started at the weight's blend of the closed-form single-node optima.
-        searches = [_line_search(0.0, params.p_tot, tol, w * p_a + (1.0 - w) * p_b, 0.1) for w in weights]
+        searches = [_line_search(0.0, params.p_tot, tol, w * p_a + (1.0 - w) * p_b) for w in weights]
     else:
         def evaluate(rows: list, xs: list) -> list:
-            for i in rows:
-                evals[i] += 1
             return [-tau for tau in taus(xs, [weights[i] for i in rows])]
 
         lo, hi = min(p_a, p_b), max(p_a, p_b)
         # The closed-form optima localize the search: a plain golden section over
-        # their span, every probe in [lo, hi].  A span within tol probes nothing:
-        # its midpoint is evaluated for the capacities only.
+        # their span, every probe in [lo, hi].  A span within tol probes nothing.
         taus = _surrogate(mode, samples, params, weights, lo, hi) if hi - lo > tol else None
-        searches = [_line_search(lo, hi, tol, None, 0.1, probe_x=False) for _ in weights]
+        searches = [_line_search(lo, hi, tol, None) for _ in weights]
     results = _lockstep(searches, evaluate)
 
     # A probe trail that is not single-peaked falls back to a grid scan.
     valley = [i for i, res in enumerate(results) if exact and _has_interior_valley(res.probes)]
+    grid = list(np.linspace(0.0, params.p_tot, 1024)) if valley else []
     refines = []
     for i in valley:
-        grid = np.linspace(0.0, params.p_tot, 1024)
-        k = int(np.argmax(evaluate([i] * grid.size, list(grid))))
-        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
-        refines.append(_line_search(lo, hi, tol, None, 0.1))
+        k = int(np.argmax(evaluate([i] * len(grid), grid)))
+        refines.append(_line_search(grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], tol, None))
     for i, refine in zip(valley, _lockstep(refines, lambda rows, xs: evaluate([valley[r] for r in rows], xs))):
-        results[i] = replace(refine, iterations=results[i].iterations + refine.iterations + 1)
+        first = results[i]
+        results[i] = replace(
+            refine, iterations=first.iterations + refine.iterations + 1, evals=first.evals + len(grid) + refine.evals
+        )
 
-    if not exact:  # the last probe evaluates the capacities reported, not the surrogate
-        evals = [n + 1 for n in evals]
-        last = capacities([res.x for res in results])
+    # One full-sample pass at the returned relay powers gives the capacities
+    # reported, for either method: its evaluation is each solve's last.
     reports = []
-    for res, (r_ea, r_eb), n_evals in zip(results, last, evals):
+    for res, (r_ea, r_eb) in zip(results, capacities([res.x for res in results])):
         alloc = PowerAllocation.from_relay_power(res.x, params.p_tot)
-        report = SolveReport(alloc, EcPoint(r_ea, r_eb, alloc), method, None, res.iterations, n_evals, 0.0)
+        report = SolveReport(alloc, EcPoint(r_ea, r_eb, alloc), method, None, res.iterations, res.evals + 1, 0.0)
         reports.append(_threshold_policy(report, mode, samples, params, gains) if apply_policy else report)
     wall_time = time.perf_counter() - t0
     return [replace(report, wall_time=wall_time) for report in reports]
@@ -320,7 +301,8 @@ def solve_exact(
     on the probe trail afterwards; a violation (possible in FD, where
     per-node capacities are single-peaked but their weighted sum is not
     proven to be) triggers a 1024-point grid scan with local refinement.
-    The capacities reported are those of the search's final probe.
+    The capacities reported come from one full-sample pass at the relay
+    power the search returns, the solve's last objective evaluation.
     """
     return _solve_weights(mode, samples, params, (params.w,), SolveMethod.EXACT, apply_policy=apply_policy)[0]
 
@@ -338,11 +320,11 @@ def solve_approx(
     closed-form single-node optima: a priority-weighted compromise between
     single-peaked per-node objectives lies between their maximizers, and
     beyond them the surrogate's worst-sample structure turns multimodal
-    (see module docstring).  The search's last probe, at the returned relay
-    power, evaluates the exact capacities reported instead of the surrogate,
-    whose value there is never used.  One O(n) prune before the search keeps
-    the samples whose weighted rate can be the worst on that interval, so
-    each probe costs O(kept samples); the final capacities use every sample.
+    (see module docstring).  One O(n) prune before the search keeps the
+    samples whose weighted rate can be the worst on that interval, so each
+    probe costs O(kept samples).  The capacities reported come from one
+    full-sample pass at the relay power the search returns, the solve's
+    last objective evaluation.
     """
     return _solve_weights(mode, samples, params, (params.w,), SolveMethod.APPROXIMATE, apply_policy=apply_policy)[0]
 

@@ -314,13 +314,14 @@ class TestMain:
         assert a.read_bytes() == b.read_bytes()
 
     def test_fig_outputs_match_committed_digests(self, tmp_path):
-        # fig_digests.sha256 holds the SHA-256 of fig2-fig8 at --samples 60
-        # --seed 11 (sha256sum format); a change that moves any printed digit
-        # must update it and say which columns moved
+        # fig_digests.sha256 holds the SHA-256 of fig2-fig8 and of bench (one
+        # repeat) at --samples 60 --seed 11 (sha256sum format); a change that
+        # moves any printed digit must update it and say which columns moved
         digests = Path(__file__).with_name("fig_digests.sha256").read_text().split()
         for digest, name in zip(digests[::2], digests[1::2]):
             out = tmp_path / name
-            assert main([out.stem, "--samples", "60", "--seed", "11", "--out", str(out)]) == 0
+            repeats = ["--repeats", "1"] if out.stem == "bench" else []
+            assert main([out.stem, "--samples", "60", "--seed", "11", *repeats, "--out", str(out)]) == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
 
     def test_config_error_exit_code(self, tmp_path, capsys):

@@ -93,8 +93,9 @@ class TestMaximizeUnimodal:
         assert abs(x - x_grid) <= p.p_tot / (grid.size - 1) + 1e-6 * p.p_tot
 
     def test_full_output_counts(self):
-        res = _drive(_line_search(0.0, 10.0, 1e-6, None, None), lambda x: -((x - 3.0) ** 2))
-        assert (res.x, res.fx) == maximize_unimodal(lambda x: -((x - 3.0) ** 2), 0.0, 10.0, tol=1e-6)
+        f = lambda x: -((x - 3.0) ** 2)
+        res = _drive(_line_search(0.0, 10.0, 1e-6, None), f)
+        assert (res.x, f(res.x)) == maximize_unimodal(f, 0.0, 10.0, tol=1e-6)
         assert res.iterations >= 1 and res.evals >= res.iterations
         assert len(res.probes) == res.evals
 
@@ -238,6 +239,68 @@ class TestSolveApprox:
         s = reference_samples(100)
         rep = solve_approx(RelayMode.FD, s, SystemParams.reference())
         assert rep.method is SolveMethod.APPROXIMATE
+
+
+class TestBudgetScale:
+    """A search stops on its bracket width, tol = 1e-6 * P_tot, whatever the
+    budget: the objective's slope scales as 1 / P_tot, so a stop on an
+    absolute slope would keep shrinking a small budget's bracket."""
+
+    @pytest.mark.parametrize("p_tot", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("mode", list(RelayMode))
+    @pytest.mark.parametrize("d_a", [0.1, 0.9])
+    def test_evals_bounded_at_every_budget(self, p_tot, mode, d_a):
+        s = reference_samples(400, d_a=d_a)
+        p = SystemParams.reference(d_a=d_a, p_tot=p_tot, w=0.5)
+        # a golden section over a span no wider than P_tot: 2 probes,
+        # ceil(ln 1e6 / ln phi) = 29 iterations, then the final capacity pass
+        assert solve_approx(mode, s, p).objective_evals <= 32
+        if p_tot == 1e-3:
+            assert solve_exact(mode, s, p).objective_evals <= 40
+
+
+def log_uniform(lo_exp: float, hi_exp: float):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+class TestMirror:
+    """Swapping the nodes (their gains, error targets, QoS exponents and SNR
+    thresholds) and the weight w for 1 - w mirrors every output bit for bit:
+    a slip that treats the nodes unequally in the kernel's node axis, the
+    prune's per-node bounds or the threshold policy breaks it."""
+
+    SWAP = {None: None, "A": "B", "B": "A"}
+
+    @pytest.mark.parametrize("mode", list(RelayMode))
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_node_swap_mirrors_capacities_and_solves(self, mode, data):
+        d_a = data.draw(st.floats(0.05, 0.95))
+        s = reference_samples(data.draw(st.integers(1, 1500)), seed=data.draw(st.integers(0, 2**16)), d_a=d_a)
+        draws = {
+            "eps": log_uniform(-8.0, -2.0),
+            "theta": log_uniform(-4.0, -1.0),
+            "gamma_t": st.one_of(st.just(0.0), log_uniform(-1.0, 3.0)),
+        }
+        one, two = ({key: data.draw(draw) for key, draw in draws.items()} for _ in range(2))
+        w = data.draw(st.integers(0, 16)) / 16.0  # dyadic, so 1 - (1 - w) == w
+        omega = data.draw(st.floats(0.0, 0.2))
+
+        def scenario(node_a: dict, node_b: dict, weight: float) -> SystemParams:
+            fields = {f"{key}_a": v for key, v in node_a.items()} | {f"{key}_b": v for key, v in node_b.items()}
+            return SystemParams.reference(d_a=d_a, omega=omega, w=weight, **fields)
+
+        p, q = scenario(one, two, w), scenario(two, one, 1.0 - w)
+        mirrored = ChannelSamples(s.h_b, s.h_a)
+        for share in (0.1, 0.37, 0.8):
+            alloc = PowerAllocation.from_relay_power(share * p.p_tot, p.p_tot)
+            got, want = ec_point(mode, mirrored, q, alloc), ec_point(mode, s, p, alloc)
+            assert (got.r_ea, got.r_eb) == (want.r_eb, want.r_ea)
+        for solve in (solve_exact, solve_approx):
+            got, want = solve(mode, mirrored, q), solve(mode, s, p)
+            kept = lambda r: (r.alloc, r.iterations, r.objective_evals, r.degenerate)  # what the swap leaves alone
+            assert kept(got) == kept(want)
+            assert (got.ec.r_ea, got.ec.r_eb, got.silenced) == (want.ec.r_eb, want.ec.r_ea, self.SWAP[want.silenced])
 
 
 class TestThresholdPolicy:
@@ -398,14 +461,14 @@ class TestLockstep:
                 return w * r_ea + (1.0 - w) * r_eb
 
             p_a, p_b = _single_node_optima(RelayMode.FD, s.mean_gains(), p)
-            first = _drive(_line_search(0.0, p.p_tot, tol, w * p_a + (1.0 - w) * p_b, 0.1), f)
+            first = _drive(_line_search(0.0, p.p_tot, tol, w * p_a + (1.0 - w) * p_b), f)
             grid = np.linspace(0.0, p.p_tot, 1024)
             k = int(np.argmax([f(g) for g in grid]))
-            refine = _drive(_line_search(grid[max(k - 1, 0)], grid[min(k + 1, 1023)], tol, None, 0.1), f)
+            refine = _drive(_line_search(grid[max(k - 1, 0)], grid[min(k + 1, 1023)], tol, None), f)
             report = solve_exact(RelayMode.FD, s, p.with_(w=w))
             assert report.alloc.p_r == refine.x
             assert (report.iterations, report.objective_evals) == (
-                first.iterations + refine.iterations + 1, first.evals + 1024 + refine.evals
+                first.iterations + refine.iterations + 1, first.evals + 1024 + refine.evals + 1
             )
             assert report.ec == ec_point(RelayMode.FD, s, p, report.alloc) == point
 
