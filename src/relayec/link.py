@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import Geometry
 
 NODES = ("A", "B")
+_NUMBER_FIELDS = ("m", "p_tot", "omega", "eps_a", "eps_b", "theta_a", "theta_b", "gamma_t_a", "gamma_t_b", "w")
+_REAL = (float, int, numbers.Real)  # builtins first: the ABC's own check costs several times more
 
 
 class RelayMode(enum.Enum):
@@ -47,6 +50,10 @@ class SystemParams:
     hd_rate_blocklength: str = "m/2"
 
     def __post_init__(self):
+        for name in _NUMBER_FIELDS:
+            v = getattr(self, name)
+            if not isinstance(v, _REAL):  # a one-element array passes the range checks below
+                raise ValueError(f"{name} must be a real number, got {v!r}")
         if not (self.m >= 1 and float(self.m).is_integer()):  # False for NaN; inf is no integer
             raise ValueError(f"m must be a positive integer, got {self.m}")
         if not 0.0 < self.p_tot < math.inf:

@@ -1,6 +1,11 @@
 import csv
 import functools
 import math
+import os
+import select
+import signal
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -265,6 +270,33 @@ class TestEcPoint:
             EcPoint(r_ea=float("nan"), r_eb=1.0, alloc=PowerAllocation(1.0, 1.0))
 
 
+@pytest.mark.parametrize("mode", list(RelayMode))
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(1, 600),
+    seed=st.integers(0, 2**16),
+    d_a=st.floats(0.05, 0.95),
+    share=st.floats(0.0, 1.0),
+    omega=st.floats(0.0, 1.0),
+    m=st.integers(2, 400),
+    log_eps=st.floats(-8.0, math.log10(0.5)),
+    log_theta=st.floats(-4.0, 0.0),
+)
+def test_capacity_below_best_sample_rate(mode, n, seed, d_a, share, omega, m, log_eps, log_theta):
+    """R_E <= (c/m) max(0, max_i r_i), c/m = 1 in FD and 1/2 in HD: every
+    exp(-r_i c theta) is at least the best sample's, and mixing in eps
+    moves the mean toward 1 = exp(0).  The margin allows the kernel's
+    rounding against the public rate's."""
+    s = reference_samples(n, seed=seed, d_a=d_a)
+    p = SystemParams.reference(d_a=d_a, omega=omega, m=m, eps_a=10.0**log_eps, theta_b=10.0**log_theta)
+    alloc = PowerAllocation.from_relay_power(share * p.p_tot, p.p_tot)
+    pt = ec_point(mode, s, p, alloc)
+    omega, m_cu, c_m = (p.omega, p.m, 1.0) if mode is RelayMode.FD else (0.0, p.m / 2.0, 0.5)
+    for node, got in (("A", pt.r_ea), ("B", pt.r_eb)):
+        best = max(0.0, float(np.max(fbl_rate(sinr_fd(alloc, omega, s.h_a, s.h_b, node), m_cu, p.eps_for(node)))))
+        assert got <= c_m * best + 1e-12 * (1.0 + c_m * best), (node, got, best)
+
+
 def plain_capacity(mode, samples, params, alloc, node):
     """The estimator without blocks: public SINR, public rate, then scipy's
     log-sum-exp over the whole sample set."""
@@ -343,6 +375,162 @@ def test_fd_ec_point_memory_stays_in_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@functools.lru_cache(maxsize=None)
+def worker_samples(n):
+    return reference_samples(n, seed=29, d_a=0.3)
+
+
+def kernel_outputs(mode, s, p):
+    """One- and two-node capacities for one row and for three, and taus for three rows."""
+    xs, ys, ws = [40.0, 440.0, 900.0], [480.0, 250.0, 50.0], [0.25, 0.5, 0.8]
+    capacities, taus = _kernel(mode, s, p, ("A", "B"))
+    one_node = _kernel(mode, s, p, ("B",))[0]
+    rows = [one_node(xs, ys), capacities([xs[1]]), capacities(xs), capacities(xs, ys), taus(xs, ws)]
+    return [one_node([x]) for x in xs] + rows
+
+
+class TestWorkers:
+    """A pass over two or more blocks splits them between the calling
+    thread and a pool thread; every output is the same bit for bit at one
+    worker and at two, whichever worker computes the block maximum that
+    sets Z, and the pool thread sees the caller's numpy state."""
+
+    @pytest.mark.parametrize("n", (2 * _BLOCK + 17, 2**20))
+    @pytest.mark.parametrize("mode", list(RelayMode))
+    def test_same_bits_at_one_and_two_workers(self, n, mode, monkeypatch):
+        p = SystemParams.reference(d_a=0.3, omega=0.05, eps_a=1e-3, eps_b=1e-6, theta_a=2e-3, theta_b=5e-4)
+        s = worker_samples(n)
+        threads = set()
+
+        def spy(*args):
+            threads.add(threading.get_ident())
+            return rate_into(*args)
+
+        rate_into = capacity._rate_into
+        monkeypatch.setattr(capacity, "_rate_into", spy)
+        outputs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(capacity, "_WORKERS", workers)
+            threads.clear()
+            outputs[workers] = kernel_outputs(mode, s, p)
+            assert len(threads) == workers
+        assert outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("mode", list(RelayMode))
+    def test_pool_thread_sets_the_exponent_maximum(self, mode, monkeypatch):
+        # block 1, the pool thread's, holds the deep fades whose exponent
+        # maximum lies further above every other block's than exp's range
+        rng = np.random.default_rng(9)
+        n = 2 * _BLOCK + 17
+        scale = np.full(n, 1e6)
+        scale[_BLOCK : 2 * _BLOCK] = 1e-6
+        s = ChannelSamples(h_a=scale * rng.exponential(size=n), h_b=scale * rng.exponential(size=n))
+        p = SystemParams.reference(theta_a=2.0, theta_b=2.0)
+        outputs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(capacity, "_WORKERS", workers)
+            outputs[workers] = kernel_outputs(mode, s, p)
+        assert outputs[1] == outputs[2]
+        alloc = PowerAllocation.from_relay_power(440.0, p.p_tot)
+        assert outputs[2][4][0][1] == pytest.approx(plain_capacity(mode, s, p, alloc, "B"), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_caller_errstate_reaches_the_pool_thread(self, workers, monkeypatch):
+        # h_a h_b overflows at one sample of block 1; every other step stays in range
+        s = worker_samples(2 * _BLOCK + 17)
+        h_a, h_b = s.h_a.copy(), s.h_b.copy()
+        h_a[_BLOCK + 5] = h_b[_BLOCK + 5] = 1e300
+        monkeypatch.setattr(capacity, "_WORKERS", workers)
+        p = SystemParams.reference()
+        with np.errstate(all="raise"):
+            kernel_outputs(RelayMode.FD, s, p)
+            with pytest.raises(FloatingPointError, match="overflow"):
+                _kernel(RelayMode.FD, ChannelSamples(h_a, h_b), p, ("A", "B"))[0]([440.0])
+
+    def test_caller_bufsize_reaches_the_pool_thread(self, monkeypatch):
+        seen = []
+
+        def spy(*args):
+            seen.append(np.getbufsize())
+            return rate_into(*args)
+
+        rate_into = capacity._rate_into
+        monkeypatch.setattr(capacity, "_rate_into", spy)
+        monkeypatch.setattr(capacity, "_WORKERS", 2)
+        _kernel(RelayMode.HD, worker_samples(2 * _BLOCK + 17), SystemParams.reference(), ("A", "B"))[0]([1.0, 2.0, 3.0])
+        assert seen == [_BUFSIZE] * 9
+
+    def test_pool_thread_exception_reaches_the_caller(self, monkeypatch):
+        raised = LookupError("raised on the pool thread")
+        caller = threading.get_ident()
+
+        def fail_off_caller(*args):
+            if threading.get_ident() != caller:
+                raise raised
+            return rate_into(*args)
+
+        rate_into = capacity._rate_into
+        monkeypatch.setattr(capacity, "_rate_into", fail_off_caller)
+        monkeypatch.setattr(capacity, "_WORKERS", 2)
+        capacities = _kernel(RelayMode.FD, worker_samples(2 * _BLOCK + 17), SystemParams.reference(), ("A", "B"))[0]
+        with pytest.raises(LookupError) as info:
+            capacities([440.0])
+        assert info.value is raised
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_starts_its_own_pool(self, monkeypatch):
+        # the parent's pool thread does not survive a fork; a child that
+        # queued work on its executor would wait forever
+        monkeypatch.setattr(capacity, "_WORKERS", 2)
+        p = SystemParams.reference()
+        s = worker_samples(2 * _BLOCK + 17)
+        want = kernel_outputs(RelayMode.FD, s, p)  # the pool thread is running now
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child writes whether its outputs match, then exits without pytest's teardown
+            try:
+                os.write(write, b"1" if kernel_outputs(RelayMode.FD, s, p) == want else b"0")
+            finally:
+                os._exit(0)
+        os.close(write)
+        ready = []
+        try:
+            ready, _, _ = select.select([read], [], [], 30.0)
+            assert ready, "the forked child did not finish within 30 s"
+            assert os.read(read, 1) == b"1"
+        finally:
+            os.close(read)
+            if not ready:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    def test_concurrent_callers_share_the_pool(self, monkeypatch):
+        # more calling threads than CPUs, each with its own closures, under a
+        # short switch interval: every call reads what a serial call reads
+        monkeypatch.setattr(capacity, "_WORKERS", 2)
+        p = SystemParams.reference(omega=0.05)
+        s = worker_samples(2 * _BLOCK + 17)
+        want = {mode: kernel_outputs(mode, s, p) for mode in RelayMode}
+        got = {}
+
+        def caller(i):
+            mode = list(RelayMode)[i % 2]
+            got[i] = [kernel_outputs(mode, s, p) == want[mode] for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == {i: [True] * 3 for i in range(4)}
 
 
 class TestBatchedKernel:

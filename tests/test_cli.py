@@ -339,10 +339,14 @@ class TestMain:
         assert not out.exists()
 
     def test_import_leaves_scipy_unloaded(self):
-        # scipy.special alone would add ~0.35 s to every command's start-up
+        # scipy.special alone would add ~0.35 s to every command's start-up, and
+        # concurrent.futures ~9 ms: the kernel's pool starts on its first multi-block pass
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = "import sys, relayec, relayec.cli; assert 'scipy' not in sys.modules, sorted(sys.modules)"
+        code = (
+            "import sys, relayec, relayec.cli; "
+            "assert not {'scipy', 'concurrent.futures'} & set(sys.modules), sorted(sys.modules)"
+        )
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     @pytest.mark.parametrize("flag", ["--omega", "--w", "--d-a"])

@@ -107,6 +107,17 @@ class TestSystemParams:
             with pytest.raises(ValueError):
                 SystemParams.reference(**bad)
 
+    @pytest.mark.parametrize(
+        "name", ["m", "p_tot", "omega", "eps_a", "eps_b", "theta_a", "theta_b", "gamma_t_a", "gamma_t_b", "w"]
+    )
+    def test_rejects_non_scalar(self, name):
+        # a one-element array passes every range check; the first solve then
+        # failed inside the kernel build, or solved on without complaint (w)
+        value = getattr(SystemParams.reference(), name)
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            SystemParams.reference(**{name: np.array([value])})
+        assert getattr(SystemParams.reference(**{name: np.float64(value)}), name) == value
+
 
 class TestSnrHd:
     def test_zero_relay_power(self):

@@ -303,6 +303,25 @@ class TestMirror:
             assert (got.ec.r_ea, got.ec.r_eb, got.silenced) == (want.ec.r_eb, want.ec.r_ea, self.SWAP[want.silenced])
 
 
+@pytest.mark.parametrize("mode", list(RelayMode))
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 600),
+    seed=st.integers(0, 2**16),
+    d_a=st.floats(0.05, 0.95),
+    p_tot=log_uniform(-3.0, 4.0),
+    omega=st.floats(0.0, 1.0),
+    w=st.floats(0.0, 1.0),
+    gamma_t=st.one_of(st.just(0.0), log_uniform(-1.0, 3.0)),
+)
+def test_solved_relay_power_stays_in_budget(mode, n, seed, d_a, p_tot, omega, w, gamma_t):
+    s = reference_samples(n, seed=seed, d_a=d_a)
+    p = SystemParams.reference(d_a=d_a, p_tot=p_tot, omega=omega, w=w, gamma_t_a=gamma_t, gamma_t_b=gamma_t)
+    for solve in (solve_exact, solve_approx):
+        rep = solve(mode, s, p)
+        assert 0.0 <= rep.alloc.p_r <= p.p_tot, (solve.__name__, rep.alloc)
+
+
 class TestThresholdPolicy:
     def test_zero_thresholds_leave_report_alone(self):
         s = reference_samples()
