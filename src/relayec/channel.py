@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +23,15 @@ import numpy as np
 
 # rows save_csv converts to Python floats at once, so memory stays a block's, not the set's
 _CSV_BLOCK = 2**15
+_REAL = (float, int, numbers.Real)  # builtins first: the ABC's own check costs several times more
+
+
+def _require_real(obj, names) -> None:
+    """Reject a field of ``obj`` that is no real number: a one-element array passes range checks."""
+    for name in names:
+        v = getattr(obj, name)
+        if not isinstance(v, _REAL):
+            raise ValueError(f"{name} must be a real number, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -32,6 +42,7 @@ class Geometry:
     alpha: float
 
     def __post_init__(self):
+        _require_real(self, ("d_a", "alpha"))
         if not 0.0 < self.d_a < 1.0:
             raise ValueError(f"d_a must lie in (0, 1), got {self.d_a}")
         if not 0.0 < self.alpha < math.inf:

@@ -21,8 +21,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .capacity import EcPoint, _kernel, ec_point
-from .channel import Geometry, sample_channels
+from .capacity import EcPoint, _kernel
+from .channel import sample_channels
 from .link import NODES, PowerAllocation, RelayMode, SystemParams
 from .solver import SolveMethod, SolveReport, _solve_weights, pareto_epsilon_constraint, pareto_weighted
 from .solver import solve_approx, solve_exact
@@ -62,11 +62,8 @@ class ConfigError(Exception):
     pass
 
 
-# the config fields that make up a SystemParams, d_a and alpha through its geometry
-_SCENARIO_KEYS = (
-    "m", "p_tot", "alpha", "d_a", "omega", "eps_a", "eps_b",
-    "theta_a", "theta_b", "gamma_t_a", "gamma_t_b", "w", "hd_rate_blocklength",
-)
+# the config fields that make up a SystemParams, d_a and alpha through its reference geometry
+_SCENARIO_KEYS = ("d_a", "alpha") + tuple(f.name for f in fields(SystemParams) if f.name != "geom")
 _REFERENCE = SystemParams.reference()
 
 
@@ -118,10 +115,7 @@ class ExperimentConfig:
 
     def system_params(self) -> SystemParams:
         try:
-            return SystemParams(
-                geom=Geometry(self.d_a, self.alpha),
-                **{k: getattr(self, k) for k in _SCENARIO_KEYS if k not in ("d_a", "alpha")},
-            )
+            return SystemParams.reference(**{k: getattr(self, k) for k in _SCENARIO_KEYS})
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -252,10 +246,10 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
     For a ``p_r`` sweep the capacities are evaluated at the fixed
     allocation; for every other axis the allocation is solved per point
     with the configured method (``equal`` takes the third/third/third
-    split without solving).  A ``w`` axis is solved in one lockstep batch,
-    each weight as on its own.  Every grid point is validated before any
-    solve.  Rows come out in grid order and are fully deterministic under
-    a fixed seed.
+    split unsolved).  A ``p_r`` or ``w`` curve keeps one scenario, so its
+    points share one kernel: one lockstep batch, each point as on its own,
+    or one capacity call.  Every grid point is validated before any solve.
+    Rows come out in grid order, fully deterministic under a fixed seed.
     """
     if not config.sweep_param:
         raise ConfigError("config has no sweep axis")
@@ -269,23 +263,21 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
     samples = [drawn[cfg.d_a] for cfg in cfgs]
 
     method = "fixed" if config.sweep_param == "p_r" else config.method
-    if config.sweep_param == "p_r":  # the points differ only in p_r: one kernel call for the curve
-        allocs = [PowerAllocation.from_relay_power(float(x), params[0].p_tot) for x in config.sweep_values]
-        # node powers default to from_relay_power's (p_tot - p_r) / 2
-        caps = _kernel(mode, samples[0], params[0], NODES)[0]([a.p_r for a in allocs])
-        reports = [  # no search
+    shared = config.sweep_param in ("p_r", "w")  # one scenario: the curve's points share one kernel
+    reports = []
+    for group in [range(len(cfgs))] if shared else [[i] for i in range(len(cfgs))]:
+        s, p = samples[group[0]], params[group[0]]  # the group's scenario, up to w, which no kernel reads
+        if method in ("exact", "approx"):
+            reports += _solve_weights(mode, s, p, [params[i].w for i in group], SolveMethod(method))
+            continue
+        if method == "fixed":
+            allocs = [PowerAllocation.from_relay_power(float(config.sweep_values[i]), p.p_tot) for i in group]
+        else:
+            allocs = [PowerAllocation.equal_split(p.p_tot)] * len(group)
+        caps = _kernel(mode, s, p, NODES)[0]([a.p_r for a in allocs], [a.p_node for a in allocs])
+        reports += [  # no search
             SolveReport(a, EcPoint(r_ea, r_eb, a), None, None, 0, 0, 0.0) for a, (r_ea, r_eb) in zip(allocs, caps)
         ]
-    elif method == "equal":
-        reports = []
-        for s, p in zip(samples, params):
-            alloc = PowerAllocation.equal_split(p.p_tot)
-            reports.append(SolveReport(alloc, ec_point(mode, s, p, alloc), None, None, 0, 0, 0.0))  # no search
-    elif config.sweep_param == "w":
-        reports = _solve_weights(mode, samples[0], params[0], [p.w for p in params], SolveMethod(method))
-    else:
-        solver = solve_exact if method == "exact" else solve_approx
-        reports = [solver(mode, s, p) for s, p in zip(samples, params)]
 
     rows = []
     for value, cfg, p, report in zip(config.sweep_values, cfgs, params, reports):

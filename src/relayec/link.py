@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, replace
 import numpy as np
 
-from .channel import Geometry
+from .channel import Geometry, _require_real
 
 NODES = ("A", "B")
 _NUMBER_FIELDS = ("m", "p_tot", "omega", "eps_a", "eps_b", "theta_a", "theta_b", "gamma_t_a", "gamma_t_b", "w")
-_REAL = (float, int, numbers.Real)  # builtins first: the ABC's own check costs several times more
 
 
 class RelayMode(enum.Enum):
@@ -50,10 +48,7 @@ class SystemParams:
     hd_rate_blocklength: str = "m/2"
 
     def __post_init__(self):
-        for name in _NUMBER_FIELDS:
-            v = getattr(self, name)
-            if not isinstance(v, _REAL):  # a one-element array passes the range checks below
-                raise ValueError(f"{name} must be a real number, got {v!r}")
+        _require_real(self, _NUMBER_FIELDS)
         if not (self.m >= 1 and float(self.m).is_integer()):  # False for NaN; inf is no integer
             raise ValueError(f"m must be a positive integer, got {self.m}")
         if not 0.0 < self.p_tot < math.inf:
@@ -125,6 +120,7 @@ class PowerAllocation:
     p_node: float
 
     def __post_init__(self):
+        _require_real(self, ("p_r", "p_node"))
         if not (0.0 <= self.p_r < math.inf and 0.0 <= self.p_node < math.inf):
             raise ValueError(
                 f"powers must be non-negative and finite, got p_r={self.p_r}, p_node={self.p_node}"

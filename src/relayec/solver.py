@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .capacity import EcPoint, _kernel, _surrogate, effective_capacity
+from .capacity import EcPoint, _kernel, _surrogate
 from .channel import ChannelSamples
 from .link import NODES, PowerAllocation, RelayMode, SystemParams, optimal_relay_power_fd, sinr_fd
 
@@ -282,7 +282,7 @@ def _solve_weights(
     for res, (r_ea, r_eb) in zip(results, capacities([res.x for res in results])):
         alloc = PowerAllocation.from_relay_power(res.x, params.p_tot)
         report = SolveReport(alloc, EcPoint(r_ea, r_eb, alloc), method, None, res.iterations, res.evals + 1, 0.0)
-        reports.append(_threshold_policy(report, mode, samples, params, gains) if apply_policy else report)
+        reports.append(_threshold_policy(report, mode, params, gains, capacities) if apply_policy else report)
     wall_time = time.perf_counter() - t0
     return [replace(report, wall_time=wall_time) for report in reports]
 
@@ -330,17 +330,17 @@ def solve_approx(
 
 
 def _threshold_policy(
-    report: SolveReport, mode: RelayMode, samples: ChannelSamples, params: SystemParams, gains: tuple[float, float]
+    report: SolveReport, mode: RelayMode, params: SystemParams, gains: tuple[float, float], capacities: Callable
 ) -> SolveReport:
     """Silence a node whose operating SNR falls below its threshold.
 
     SNRs are evaluated at the sample-mean gains ``gains``, matching the
     closed forms.  When one node falls below its threshold its stream is
-    dropped (capacity reported as zero), and the relay power is reset to
-    the other node's closed-form optimum; node powers still follow the
-    budget.  When both nodes fall below, the solution is returned unchanged
-    with the degenerate flag set, which keeps sweeps comparable instead of
-    transmitting nothing.
+    dropped (capacity reported as zero), the relay power is reset to the
+    other node's closed-form optimum and that node's capacity is read off
+    the solve's ``capacities``; node powers still follow the budget.  When
+    both fall below, the solution is returned unchanged with the degenerate
+    flag set, which keeps sweeps comparable instead of transmitting nothing.
     """
     ha, hb = gains
     omega = params.omega_for(mode)
@@ -355,8 +355,8 @@ def _threshold_policy(
     keep = "B" if below_a else "A"
     p_r = optimal_relay_power_fd(ha, hb, params.p_tot, omega, keep)
     alloc = PowerAllocation.from_relay_power(p_r, params.p_tot)
-    kept_ec = effective_capacity(mode, samples, params, alloc, keep)
-    caps = (0.0, kept_ec) if keep == "B" else (kept_ec, 0.0)
+    [(r_ea, r_eb)] = capacities([p_r])  # at the default node power, alloc's
+    caps = (0.0, r_eb) if keep == "B" else (r_ea, 0.0)
     return replace(report, alloc=alloc, ec=EcPoint(*caps, alloc), silenced="A" if keep == "B" else "B")
 
 
@@ -472,9 +472,10 @@ def pareto_epsilon_constraint(
         ))
         return [x_end if eb_end >= mu else next(found) for mu in mus]
 
+    ea_at, _ = _kernel(mode, samples, params, ("A",))
     xs = []
     if feasible_mu:
-        x_a, _ = peak(_kernel(mode, samples, params, ("A",))[0], p_a)
+        x_a, _ = peak(ea_at, p_a)
         near = int(x_a >= x_peak)  # the side of x_peak the clip reads
         # a far end left at the budget's end clips x_A alike
         bounds = [[0.0, params.p_tot] for _ in feasible_mu]
@@ -484,11 +485,10 @@ def pareto_epsilon_constraint(
         for i, x in zip(narrow, edges([feasible_mu[i] for i in narrow], 1 - near)):
             bounds[i][1 - near] = x
         xs = [x_peak if right - left <= tol else min(max(x_a, left), right) for left, right in bounds]
-    del eb_at  # frees node B's pass buffers before the two-node pass below
 
     points = [
         EcPoint(r_ea=r_ea, r_eb=r_eb, alloc=PowerAllocation.from_relay_power(x, params.p_tot))
-        for x, (r_ea, r_eb) in zip(xs, _kernel(mode, samples, params, NODES)[0](xs))
+        for x, [r_ea], [r_eb] in zip(xs, ea_at(xs), eb_at(xs))
     ]
     infeasible = tuple(float(mu) for mu in mu_grid if mu > eb_peak)
     return _frontier(points, feasible_mu, SolveMethod.EPSILON_CONSTRAINT, infeasible)

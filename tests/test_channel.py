@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from relayec import (
@@ -40,6 +42,17 @@ class TestGeometry:
         for bad in (0.0, float("nan")):
             with pytest.raises(ValueError):
                 Geometry(d_a=0.5, alpha=bad)
+
+    @pytest.mark.parametrize("name", ["d_a", "alpha"])
+    def test_rejects_non_scalar(self, name):
+        # a one-element array passed the range checks and a solve ran on it;
+        # a longer one failed with numpy's truth-value message, not a field name
+        for value in (np.array([0.5]), np.array([0.2, 0.3])):
+            with pytest.raises(ValueError, match=f"{name} must be a real number"):
+                Geometry(**{"d_a": 0.5, "alpha": 4.0, name: value})
+        assert Geometry(**{"d_a": 0.5, "alpha": 4.0, name: np.float64(0.25)}) == Geometry(
+            **{"d_a": 0.5, "alpha": 4.0, name: 0.25}
+        )
 
 
 class TestSampling:
@@ -174,6 +187,22 @@ class TestCsv:
         assert path.read_bytes() == (
             b"h_a,h_b\n5e-324,1e+300\n1e-300,0.3333333333333333\n0.1,0.1\n0.3333333333333333,1e-300\n1e+300,5e-324\n"
         )
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(*[st.floats(min_value=5e-324, max_value=1.7976931348623157e308, allow_subnormal=True)] * 2),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_round_trip_property(self, tmp_path_factory, pairs):
+        # every positive finite double, subnormals included, comes back as itself
+        h_a, h_b = (list(column) for column in zip(*pairs))
+        path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+        save_csv(ChannelSamples(np.array(h_a), np.array(h_b)), path)
+        back = load_csv(path)
+        assert (back.h_a.tolist(), back.h_b.tolist()) == (h_a, h_b)
 
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"

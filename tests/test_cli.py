@@ -11,14 +11,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import relayec.capacity as capacity_module
 import relayec.cli as cli
 from relayec import PowerAllocation, RelayMode, ec_point, sample_channels, solve_approx, solve_exact
+from relayec.capacity import _kernel
 from relayec.cli import (
     BENCH_FILE_COLUMNS,
     FIGURES,
     PARETO_COLUMNS,
     SWEEP_COLUMNS,
+    SWEEP_FIELDS,
+    W_GRID,
     ConfigError,
     ExperimentConfig,
     _build_parser,
@@ -44,6 +50,28 @@ class TestConfig:
             samples=64, seed=3, method="exact", sweep_param="eps",
             sweep_values=(1e-6, 1e-5, 1e-4), out="x.csv", format="json",
         )
+        assert ExperimentConfig.from_text(cfg.to_text()) == cfg
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_property(self, data):
+        positive = st.floats(0.0, 1e300, exclude_min=True)
+        fraction = st.floats(0.0, 1.0)
+        cfg = data.draw(st.builds(
+            ExperimentConfig,
+            m=st.integers(1, 10**6), p_tot=positive, alpha=positive,
+            d_a=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), omega=fraction,
+            eps_a=st.floats(0.0, 0.5, exclude_min=True), eps_b=st.floats(0.0, 0.5, exclude_min=True),
+            theta_a=positive, theta_b=positive, gamma_t_a=st.floats(0.0, 1e300), gamma_t_b=st.floats(0.0, 1e300),
+            w=fraction, hd_rate_blocklength=st.sampled_from(["m", "m/2"]),
+            mode=st.sampled_from(["hd", "fd"]), samples=st.integers(1, 2**40), seed=st.integers(0, 2**63),
+            method=st.sampled_from(["exact", "approx", "equal"]), sweep_param=st.sampled_from(["", *SWEEP_FIELDS]),
+            # a path keeps no line break, and no space at either end: the parser strips those
+            out=st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"))).filter(lambda t: t == t.strip()),
+            format=st.sampled_from(["csv", "json"]),
+        ))
+        grid = st.floats(0.0, cfg.p_tot) if cfg.sweep_param == "p_r" else st.floats(allow_nan=False, allow_infinity=False)
+        cfg = replace(cfg, sweep_values=tuple(sorted(data.draw(st.lists(grid, max_size=6)))))
         assert ExperimentConfig.from_text(cfg.to_text()) == cfg
 
     def test_defaults_are_reference_scenario(self):
@@ -185,6 +213,22 @@ class TestRunSweep:
         for row in rows:
             point = ec_point(RelayMode(mode), samples, params, PowerAllocation.from_relay_power(row["p_r"], params.p_tot))
             assert (row["r_ea"], row["r_eb"], row["p_node"]) == (point.r_ea, point.r_eb, point.alloc.p_node)
+
+    @pytest.mark.parametrize("mode", ["hd", "fd"])
+    def test_equal_weight_axis_rows_match_ec_point(self, mode, monkeypatch):
+        builds = []
+        for module in (cli, capacity_module):
+            monkeypatch.setattr(module, "_kernel", lambda *args: builds.append(args) or _kernel(*args))
+        cfg = small_cfg(mode=mode, d_a=0.3, method="equal", sweep_param="w", sweep_values=W_GRID)
+        rows = run_sweep(cfg)
+        assert len(builds) == 1  # one kernel call for the curve, not one per weight
+        samples = sample_channels(cfg.system_params().geom, cfg.samples, cfg.seed)
+        for row in rows:
+            params = replace(cfg, w=row["sweep_value"]).system_params()
+            point = ec_point(RelayMode(mode), samples, params, PowerAllocation.equal_split(params.p_tot))
+            assert (row["p_r"], row["p_node"], row["r_ea"], row["r_eb"]) == (
+                point.alloc.p_r, point.alloc.p_node, point.r_ea, point.r_eb
+            )
 
     def test_solved_sweep_has_solver_fields(self):
         cfg = small_cfg(sweep_param="eps", sweep_values=(1e-5, 1e-3), method="exact")

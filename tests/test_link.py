@@ -59,6 +59,16 @@ class TestPowerAllocation:
             with pytest.raises(ValueError):
                 PowerAllocation(p_r=bad, p_node=1.0)
 
+    @pytest.mark.parametrize("name", ["p_r", "p_node"])
+    def test_rejects_non_scalar(self, name):
+        # a one-element array passed the range check and built an allocation
+        for value in (np.array([1.0]), np.array([1.0, 2.0])):
+            with pytest.raises(ValueError, match=f"{name} must be a real number"):
+                PowerAllocation(**{"p_r": 1.0, "p_node": 2.0, name: value})
+        assert PowerAllocation(**{"p_r": 1.0, "p_node": 2.0, name: np.float64(3.0)}) == PowerAllocation(
+            **{"p_r": 1.0, "p_node": 2.0, name: 3.0}
+        )
+
 
 class TestSystemParams:
     def test_reference_set(self):

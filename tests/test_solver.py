@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import threshold_roots_hd
@@ -322,12 +322,39 @@ def test_solved_relay_power_stays_in_budget(mode, n, seed, d_a, p_tot, omega, w,
         assert 0.0 <= rep.alloc.p_r <= p.p_tot, (solve.__name__, rep.alloc)
 
 
+# Found by this test at a larger example budget.  In the low-SNR regime the
+# finite-blocklength rate is positive at SINR 0 and dips negative above it,
+# so node B's capacity here is highest at the budget's ends and has a small
+# interior bump at p_r = 0.303, where the exact solve stops, 11.6% below the
+# equal split's (-0.0293 against -0.0263).  The assertion stays as it is.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="exact solve misses the sup at low SNR")
+@settings(max_examples=50, deadline=None)
+@given(
+    mode=st.sampled_from(list(RelayMode)),
+    n=st.integers(1, 600),
+    seed=st.integers(0, 2**16),
+    d_a=st.floats(0.05, 0.95),
+    p_tot=log_uniform(-3.0, 4.0),
+    omega=st.floats(0.0, 1.0),
+    w=st.floats(0.0, 1.0),
+)
+@example(mode=RelayMode.HD, n=1, seed=0, d_a=0.125, p_tot=10.0**-0.5, omega=0.0, w=0.0)
+def test_exact_solve_beats_equal_split(mode, n, seed, d_a, p_tot, omega, w):
+    # the equal split lies on the searched line p_node = (p_tot - p_r) / 2
+    s = reference_samples(n, seed=seed, d_a=d_a)
+    p = SystemParams.reference(d_a=d_a, p_tot=p_tot, omega=omega, w=w)
+    solved = solve_exact(mode, s, p, apply_policy=False).ec.weighted_sum(w)
+    equal = ec_point(mode, s, p, PowerAllocation.equal_split(p_tot)).weighted_sum(w)
+    assert solved >= equal - 1e-12 * abs(equal)
+
+
 class TestThresholdPolicy:
     def test_zero_thresholds_leave_report_alone(self):
         s = reference_samples()
         p = SystemParams.reference(gamma_t_a=0.0, gamma_t_b=0.0)
         rep = solve_exact(RelayMode.HD, s, p, apply_policy=False)
-        assert solver_module._threshold_policy(rep, RelayMode.HD, s, p, s.mean_gains()) == rep
+        capacities = _kernel(RelayMode.HD, s, p, ("A", "B"))[0]
+        assert solver_module._threshold_policy(rep, RelayMode.HD, p, s.mean_gains(), capacities) == rep
 
     def test_unreachable_threshold_silences_node(self):
         s = reference_samples()
@@ -367,6 +394,54 @@ class TestThresholdPolicy:
             if abs(g - gamma_t) / gamma_t < 1e-9:
                 continue  # knife edge, either call is fine
             assert snr_says_silence == bracket_says_silence
+
+
+class TestOneKernel:
+    """Each solve and floor trace evaluates only through the kernels it builds."""
+
+    @staticmethod
+    def spy(monkeypatch) -> list:
+        """The nodes of every kernel built from here on, by the solver or the capacity module."""
+        built = []
+
+        def build(mode, samples, params, nodes):
+            built.append(tuple(nodes))
+            return _kernel(mode, samples, params, nodes)
+
+        for module in (solver_module, capacity_module):
+            monkeypatch.setattr(module, "_kernel", build)
+        return built
+
+    @pytest.mark.parametrize("solve", [solve_exact, solve_approx])
+    @pytest.mark.parametrize("mode", list(RelayMode))
+    def test_silenced_solve_builds_no_one_node_kernel(self, solve, mode, monkeypatch):
+        s, p = reference_samples(), SystemParams.reference(gamma_t_a=1e9)
+        built = self.spy(monkeypatch)
+        assert solve(mode, s, p).silenced == "A"
+        assert built == [("A", "B")]
+
+    @pytest.mark.parametrize("silenced", ["A", "B"])
+    @pytest.mark.parametrize("solve", [solve_exact, solve_approx])
+    @pytest.mark.parametrize("mode", list(RelayMode))
+    def test_silenced_solve_reports_kept_node_capacity(self, mode, solve, silenced):
+        # off the midpoint the two nodes' capacities differ, so the other node's entry fails
+        s = reference_samples(d_a=0.3)
+        p = SystemParams.reference(d_a=0.3, **{"gamma_t_" + silenced.lower(): 1e9})
+        rep = solve(mode, s, p)
+        kept = "B" if silenced == "A" else "A"
+        caps = {"A": rep.ec.r_ea, "B": rep.ec.r_eb}
+        assert rep.silenced == silenced and caps[silenced] == 0.0
+        assert caps[kept] == effective_capacity(mode, s, p, rep.alloc, kept)
+        assert caps[kept] != effective_capacity(mode, s, p, rep.alloc, silenced)
+
+    @pytest.mark.parametrize("mode", list(RelayMode))
+    def test_floor_trace_builds_one_kernel_per_node(self, mode, monkeypatch):
+        s, p = reference_samples(d_a=0.3), SystemParams.reference(d_a=0.3, omega=0.05)
+        floors = sorted({pt.r_eb for pt in pareto_weighted(mode, s, p, np.linspace(0.0, 1.0, 6)).points})
+        built = self.spy(monkeypatch)
+        front = pareto_epsilon_constraint(mode, s, p, floors + [1e3])
+        assert sorted(built) == [("A",), ("B",)]
+        assert front.points and front.infeasible == (1e3,)
 
 
 class TestParetoWeighted:
