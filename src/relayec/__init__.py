@@ -17,7 +17,6 @@ from .solver import (
     ParetoFrontier,
     SolveMethod,
     SolveReport,
-    maximize_unimodal,
     pareto_epsilon_constraint,
     pareto_weighted,
     solve_approx,
@@ -41,7 +40,6 @@ __all__ = [
     "fbl_rate",
     "inverse_q",
     "load_csv",
-    "maximize_unimodal",
     "optimal_relay_power_fd",
     "optimal_relay_power_hd",
     "pareto_epsilon_constraint",

@@ -64,7 +64,7 @@ class ConfigError(Exception):
 
 # the config fields that make up a SystemParams, d_a and alpha through its reference geometry
 _SCENARIO_KEYS = ("d_a", "alpha") + tuple(f.name for f in fields(SystemParams) if f.name != "geom")
-_REFERENCE = SystemParams.reference()
+_REFERENCE = SystemParams()
 
 
 @dataclass(frozen=True)
@@ -118,19 +118,6 @@ class ExperimentConfig:
             return SystemParams.reference(**{k: getattr(self, k) for k in _SCENARIO_KEYS})
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name == "sweep_values":
-                v = ",".join(repr(float(x)) for x in v)
-            lines.append(f"{f.name} = {v}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ExperimentConfig":
-        return cls(**_parse_kv(text))
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
@@ -477,8 +464,7 @@ def _build_parser() -> _Parser:
                 p.add_argument("--" + key.replace("_", "-"), type=kind, choices=choices.get(key), default=None)
         p.add_argument(
             "--paper-defaults", action="store_true",
-            help="reset the scenario to the reference parameter set "
-            "(m=100, P_tot=1000, alpha=4, eps=1e-4, theta=1e-3, d_a=0.5, gamma_t=1)",
+            help="reset the scenario to the reference parameter set, the defaults of SystemParams",
         )
         if name == "bench":
             p.add_argument("--repeats", type=int, default=100)

@@ -30,19 +30,20 @@ class RelayMode(enum.Enum):
 
 @dataclass(frozen=True)
 class SystemParams:
-    """All scenario constants of one experiment."""
+    """All scenario constants of one experiment, by default those of the
+    reference scenario."""
 
-    m: int
-    p_tot: float
-    omega: float
-    eps_a: float
-    eps_b: float
-    theta_a: float
-    theta_b: float
-    geom: Geometry
-    gamma_t_a: float
-    gamma_t_b: float
-    w: float
+    m: int = 100
+    p_tot: float = 1000.0
+    omega: float = 0.1
+    eps_a: float = 1e-4
+    eps_b: float = 1e-4
+    theta_a: float = 1e-3
+    theta_b: float = 1e-3
+    geom: Geometry = Geometry(d_a=0.5, alpha=4.0)
+    gamma_t_a: float = 1.0
+    gamma_t_b: float = 1.0
+    w: float = 0.5
     # Blocklength handed to the rate formula in HD mode: each hop occupies
     # half the frame, so the default is "m/2"; set "m" to rate the full frame.
     hd_rate_blocklength: str = "m/2"
@@ -89,27 +90,10 @@ class SystemParams:
     def reference(
         cls, *, d_a: float = 0.5, alpha: float = 4.0, geom: Geometry | None = None, **overrides
     ) -> "SystemParams":
-        """The reference scenario used by the experiment suite.
-
-        m=100 channel uses, P_tot=1000 W, path-loss exponent 4, error
-        probability 1e-4 and QoS exponent 1e-3 at both nodes, relay at the
-        midpoint (a ``geom`` wins over ``d_a`` and ``alpha``), SNR thresholds
-        1, equal priority.
-        """
-        base = dict(
-            m=100,
-            p_tot=1000.0,
-            omega=0.1,
-            eps_a=1e-4,
-            eps_b=1e-4,
-            theta_a=1e-3,
-            theta_b=1e-3,
-            geom=geom or Geometry(d_a, alpha),
-            gamma_t_a=1.0,
-            gamma_t_b=1.0,
-            w=0.5,
-        )
-        return cls(**{**base, **overrides})
+        """The reference scenario (the field defaults) with the relay at
+        ``d_a`` under path-loss exponent ``alpha`` (a ``geom`` wins over both)
+        and the given fields overridden."""
+        return cls(geom=geom or Geometry(d_a, alpha), **overrides)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,19 @@
 """Reference implementations that only the tests use: a per-sample rate
 array, the Gaussian tail and the HD threshold-crossing relay powers,
-each written out independently of the library's kernels."""
+each written out independently of the library's kernels, and a driver that
+runs one of the solver's searches on a scalar function."""
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from relayec import ChannelSamples, PowerAllocation, RelayMode, SystemParams, fbl_rate, sinr_fd, snr_hd
 from relayec.capacity import rate_blocklength
 from relayec.link import _oriented, optimal_relay_power_hd
+from relayec.solver import _lockstep
 
 
 def per_sample_rates(
@@ -68,3 +70,11 @@ def threshold_roots_hd(
     r1 = q / hh
     r2 = c / q
     return (r1, r2) if r1 <= r2 else (r2, r1)
+
+
+def drive(search, f: Callable[[float], float]):
+    """Run one search generator of the solver (a golden-section
+    ``_line_search`` or a floor ``_crossing``) on a scalar function through
+    ``_lockstep``, the driver the solver runs them by, one probe per round,
+    and return the search's result."""
+    return _lockstep([search], lambda _, xs: [f(x) for x in xs])[0]

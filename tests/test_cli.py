@@ -6,7 +6,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,17 @@ from relayec.cli import (
 )
 
 
+def config_text(cfg: ExperimentConfig) -> str:
+    """A config file naming every field of ``cfg`` as ``key = value``."""
+    lines = []
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        if f.name == "sweep_values":
+            v = ",".join(repr(float(x)) for x in v)
+        lines.append(f"{f.name} = {v}")
+    return "\n".join(lines) + "\n"
+
+
 def small_cfg(**kw):
     base = dict(samples=150, seed=7)
     base.update(kw)
@@ -44,17 +55,19 @@ def small_cfg(**kw):
 
 
 class TestConfig:
-    def test_round_trip_identity(self):
+    def test_round_trip_identity(self, tmp_path):
         cfg = ExperimentConfig(
             m=120, p_tot=500.0, d_a=0.25, omega=0.07, w=0.8, mode="fd",
             samples=64, seed=3, method="exact", sweep_param="eps",
             sweep_values=(1e-6, 1e-5, 1e-4), out="x.csv", format="json",
         )
-        assert ExperimentConfig.from_text(cfg.to_text()) == cfg
+        path = tmp_path / "run.cfg"
+        path.write_text(config_text(cfg))
+        assert ExperimentConfig(**load_config(path)) == cfg
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_round_trip_property(self, data):
+    def test_round_trip_property(self, tmp_path_factory, data):
         positive = st.floats(0.0, 1e300, exclude_min=True)
         fraction = st.floats(0.0, 1.0)
         cfg = data.draw(st.builds(
@@ -66,13 +79,15 @@ class TestConfig:
             w=fraction, hd_rate_blocklength=st.sampled_from(["m", "m/2"]),
             mode=st.sampled_from(["hd", "fd"]), samples=st.integers(1, 2**40), seed=st.integers(0, 2**63),
             method=st.sampled_from(["exact", "approx", "equal"]), sweep_param=st.sampled_from(["", *SWEEP_FIELDS]),
-            # a path keeps no line break, and no space at either end: the parser strips those
+            # a value in a config file keeps no line break, and no space at either end: the parser strips those
             out=st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"))).filter(lambda t: t == t.strip()),
             format=st.sampled_from(["csv", "json"]),
         ))
         grid = st.floats(0.0, cfg.p_tot) if cfg.sweep_param == "p_r" else st.floats(allow_nan=False, allow_infinity=False)
         cfg = replace(cfg, sweep_values=tuple(sorted(data.draw(st.lists(grid, max_size=6)))))
-        assert ExperimentConfig.from_text(cfg.to_text()) == cfg
+        path = tmp_path_factory.mktemp("config") / "run.cfg"
+        path.write_text(config_text(cfg))
+        assert ExperimentConfig(**load_config(path)) == cfg
 
     def test_defaults_are_reference_scenario(self):
         cfg = ExperimentConfig()

@@ -1,3 +1,7 @@
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -75,6 +79,23 @@ class TestSystemParams:
         p = SystemParams.reference()
         assert (p.m, p.p_tot, p.geom.alpha, p.geom.d_a) == (100, 1000.0, 4.0, 0.5)
         assert (p.eps_a, p.theta_a, p.gamma_t_a, p.w) == (1e-4, 1e-3, 1.0, 0.5)
+
+    def test_field_defaults_are_readme_reference_set(self):
+        assert SystemParams() == SystemParams.reference()
+        # README: "... resets the scenario constants to the reference set (m=100, P_tot=1000 W, ...)"
+        readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+        named = re.search(r"the reference set \(([^)]*)\)", readme).group(1)
+        defaults = {f.name: f.default for f in fields(SystemParams)}
+        covered = set()
+        for key, value in (item.split("=") for item in named.split(", ")):
+            if key in ("d_a", "alpha"):
+                names, got = ["geom"], [getattr(defaults["geom"], key)]
+            else:
+                names = [key + "_a", key + "_b"] if key + "_a" in defaults else [key.lower()]
+                got = [defaults[name] for name in names]
+            assert got == [float(value.split()[0])] * len(names), key
+            covered.update(names)
+        assert covered == set(defaults) - {"hd_rate_blocklength"}
 
     def test_reference_overrides(self):
         p = SystemParams.reference(d_a=0.2, omega=0.05, w=0.9)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import types
@@ -27,3 +28,11 @@ def test_demos_run():
         run = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, f"{demo.name}: {run.stderr}"
         assert run.stdout.strip(), demo.name
+
+
+def test_readme_library_block_runs():
+    # README's "Library in one minute" runs as written, so a renamed or
+    # deleted name it uses fails here instead of leaving README stale
+    section = (ROOT / "README.md").read_text().split("## Library in one minute", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})

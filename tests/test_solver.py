@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import threshold_roots_hd
+from oracles import drive, threshold_roots_hd
 from relayec import (
     ChannelSamples,
     EcPoint,
@@ -18,7 +18,6 @@ from relayec import (
     ec_point,
     effective_capacity,
     fbl_rate,
-    maximize_unimodal,
     optimal_relay_power_hd,
     pareto_epsilon_constraint,
     pareto_weighted,
@@ -36,7 +35,6 @@ from relayec.solver import (
     SolveMethod,
     _crossing,
     _dominance_mask,
-    _drive,
     _line_search,
     _single_node_optima,
     line_search_tolerance,
@@ -48,20 +46,23 @@ def reference_samples(n=400, seed=7, d_a=0.5):
 
 
 class TestMaximizeUnimodal:
+    """The golden-section line search maximizes unimodal scalar functions."""
+
     def test_quadratic(self):
-        x, fx = maximize_unimodal(lambda x: -((x - 3.0) ** 2), 0.0, 10.0, tol=1e-8)
+        f = lambda x: -((x - 3.0) ** 2)
+        x = drive(_line_search(0.0, 10.0, 1e-8, None), f).x
         assert x == pytest.approx(3.0, abs=1e-8)
-        assert fx == pytest.approx(0.0, abs=1e-15)
+        assert f(x) == pytest.approx(0.0, abs=1e-15)
 
     def test_quadratic_with_start_point(self):
-        x, _ = maximize_unimodal(lambda x: -((x - 3.0) ** 2), 0.0, 10.0, tol=1e-8, x0=9.5)
+        x = drive(_line_search(0.0, 10.0, 1e-8, 9.5), lambda x: -((x - 3.0) ** 2)).x
         assert x == pytest.approx(3.0, abs=1e-8)
 
     def test_snr_matches_closed_form(self):
         # localization of a smooth peak bottoms out near sqrt(eps), so ask
         # for 1e-6 watts rather than the bracket tolerance itself
         f = lambda p_r: snr_hd(PowerAllocation.from_relay_power(p_r, 10.0), 2.0, 1.0, "A")
-        x, _ = maximize_unimodal(f, 0.0, 10.0, tol=1e-7)
+        x = drive(_line_search(0.0, 10.0, 1e-7, None), f).x
         assert x == pytest.approx(optimal_relay_power_hd(2.0, 1.0, 10.0, "A"), abs=1e-6)
 
     def test_ec_matches_fine_grid(self):
@@ -89,35 +90,15 @@ class TestMaximizeUnimodal:
         f = lambda p_r: effective_capacity(
             RelayMode.FD, s, p, PowerAllocation.from_relay_power(p_r, p.p_tot), "A"
         )
-        x, _ = maximize_unimodal(f, 0.0, p.p_tot, tol=1e-6 * p.p_tot)
+        x = drive(_line_search(0.0, p.p_tot, 1e-6 * p.p_tot, None), f).x
         assert abs(x - x_grid) <= p.p_tot / (grid.size - 1) + 1e-6 * p.p_tot
 
     def test_full_output_counts(self):
         f = lambda x: -((x - 3.0) ** 2)
-        res = _drive(_line_search(0.0, 10.0, 1e-6, None), f)
-        assert (res.x, f(res.x)) == maximize_unimodal(f, 0.0, 10.0, tol=1e-6)
+        res = drive(_line_search(0.0, 10.0, 1e-6, None), f)
+        assert all(fx == f(x) for x, fx in res.probes)  # each probe got its own value back
         assert res.iterations >= 1 and res.evals >= res.iterations
         assert len(res.probes) == res.evals
-
-    @pytest.mark.parametrize(
-        "lo, hi, tol, x0",
-        [
-            (0.0, 10.0, math.nan, None),
-            (0.0, 10.0, 0.0, None),
-            (0.0, 10.0, -1.0, None),
-            (0.0, math.inf, 1e-8, None),
-            (math.nan, 10.0, 1e-8, None),
-            (0.0, 10.0, 1e-8, math.nan),
-            (0.0, 10.0, 1e-8, -math.inf),
-        ],
-    )
-    def test_rejects_nonfinite_inputs_and_nonpositive_tol(self, lo, hi, tol, x0):
-        with pytest.raises(ValueError):
-            maximize_unimodal(lambda x: -((x - 3.0) ** 2), lo, hi, tol, x0=x0)
-
-    def test_bad_bracket(self):
-        with pytest.raises(ValueError):
-            maximize_unimodal(lambda x: x, 1.0, 1.0, tol=1e-6)
 
 
 class TestSolveExact:
@@ -155,7 +136,7 @@ class TestSolveExact:
             s = sample_channels(p.geom, 100, seed=int(rng.integers(1, 10_000)))
             warm = solve_exact(mode, s, p, apply_policy=False)
             f = lambda x: ec_point(mode, s, p, PowerAllocation.from_relay_power(x, p_tot)).weighted_sum(p.w)
-            cold, _ = maximize_unimodal(f, 0.0, p_tot, line_search_tolerance(p))
+            cold = drive(_line_search(0.0, p_tot, line_search_tolerance(p), None), f).x
             tol_cases.append(abs(warm.alloc.p_r - cold) <= 2.0 * line_search_tolerance(p))
         assert all(tol_cases)
 
@@ -168,7 +149,7 @@ class TestSolveExact:
                 f = lambda p_r: effective_capacity(
                     mode, s, p, PowerAllocation.from_relay_power(p_r, p.p_tot), node
                 )
-                _, best = maximize_unimodal(f, 0.0, p.p_tot, line_search_tolerance(p))
+                best = f(drive(_line_search(0.0, p.p_tot, line_search_tolerance(p), None), f).x)
                 assert abs(rep.ec.weighted_sum(w) - best) <= 1e-6
 
     def test_beats_equal_split(self):
@@ -257,6 +238,13 @@ class TestBudgetScale:
         assert solve_approx(mode, s, p).objective_evals <= 32
         if p_tot == 1e-3:
             assert solve_exact(mode, s, p).objective_evals <= 40
+
+    def test_subnormal_budget_rejected(self):
+        # 1e-6 * P_tot underflows to a zero tolerance, which no bracket reaches
+        s, p = reference_samples(50), SystemParams.reference(p_tot=1e-320)
+        for run in (solve_exact, solve_approx, lambda *args: pareto_epsilon_constraint(*args, (0.0,))):
+            with pytest.raises(ValueError, match="tol"):
+                run(RelayMode.FD, s, p)
 
 
 def log_uniform(lo_exp: float, hi_exp: float):
@@ -443,6 +431,29 @@ class TestOneKernel:
         assert sorted(built) == [("A",), ("B",)]
         assert front.points and front.infeasible == (1e3,)
 
+    def test_floor_trace_kernel_calls(self, monkeypatch):
+        # FD, d_a = 0.3, omega = 0.05, n = 1000, floors as fig8 takes them: the exact 21-weight trace's
+        s, p = reference_samples(1000, d_a=0.3), SystemParams.reference(d_a=0.3, omega=0.05)
+        weighted = pareto_weighted(RelayMode.FD, s, p, np.linspace(0.0, 1.0, 21), method=SolveMethod.EXACT)
+        floors = sorted({pt.r_eb for pt in weighted.points})
+        calls = {"A": [], "B": []}  # per node, the relay powers of each call in order
+
+        def build(mode, samples, params, nodes):
+            capacities, taus = _kernel(mode, samples, params, nodes)
+            [node] = nodes
+            return (lambda p_r: calls[node].append(list(p_r)) or capacities(p_r)), taus
+
+        monkeypatch.setattr(solver_module, "_kernel", build)
+        front = pareto_epsilon_constraint(RelayMode.FD, s, p, floors)
+        # node A: its peak search's one-row probes, then the final pass; none at x_A in between
+        assert [len(xs) for xs in calls["A"]] == [1] * 28 + [len(floors)]
+        assert len(calls["B"]) == 41
+        trace = FloorTrace(RelayMode.FD, s, p)
+        # B's peak value and both budget ends come from one 3-row call
+        assert [xs for xs in calls["B"] if len(xs) == 3] == [[trace.x_peak, 0.0, p.p_tot]]
+        assert [xs for xs in calls["B"] if 0.0 in xs or p.p_tot in xs] == [[trace.x_peak, 0.0, p.p_tot]]
+        assert (front.points, front.parameter_grid, front.infeasible) == trace.run(floors)
+
 
 class TestParetoWeighted:
     def test_endpoints_are_single_objective_optima(self):
@@ -555,10 +566,10 @@ class TestLockstep:
                 return w * r_ea + (1.0 - w) * r_eb
 
             p_a, p_b = _single_node_optima(RelayMode.FD, s.mean_gains(), p)
-            first = _drive(_line_search(0.0, p.p_tot, tol, w * p_a + (1.0 - w) * p_b), f)
+            first = drive(_line_search(0.0, p.p_tot, tol, w * p_a + (1.0 - w) * p_b), f)
             grid = np.linspace(0.0, p.p_tot, 1024)
             k = int(np.argmax([f(g) for g in grid]))
-            refine = _drive(_line_search(grid[max(k - 1, 0)], grid[min(k + 1, 1023)], tol, None), f)
+            refine = drive(_line_search(grid[max(k - 1, 0)], grid[min(k + 1, 1023)], tol, None), f)
             report = solve_exact(RelayMode.FD, s, p.with_(w=w))
             assert report.alloc.p_r == refine.x
             assert (report.iterations, report.objective_evals) == (
@@ -575,7 +586,7 @@ class TestParetoEpsilonConstraint:
         f = lambda p_r: effective_capacity(
             RelayMode.FD, s, p, PowerAllocation.from_relay_power(p_r, p.p_tot), "A"
         )
-        _, best = maximize_unimodal(f, 0.0, p.p_tot, 1e-6 * p.p_tot)
+        best = f(drive(_line_search(0.0, p.p_tot, 1e-6 * p.p_tot, None), f).x)
         assert front.points[0].r_ea == pytest.approx(best, rel=1e-6)
 
     def test_tight_floor_matches_weighted_endpoint(self):
@@ -687,15 +698,16 @@ class FloorTrace:
             lambda x, f=_kernel(mode, samples, params, (node,))[0]: f([x])[0][0] for node in ("A", "B")
         )
         p_a, p_b = _single_node_optima(mode, samples.mean_gains(), params)
-        self.x_peak, self.eb_peak = maximize_unimodal(self.eb, 0.0, params.p_tot, self.tol, x0=p_b)
-        self.x_a, _ = maximize_unimodal(self.ea, 0.0, params.p_tot, self.tol, x0=p_a)
+        self.x_peak = drive(_line_search(0.0, params.p_tot, self.tol, p_b), self.eb).x
+        self.eb_peak = self.eb(self.x_peak)
+        self.x_a = drive(_line_search(0.0, params.p_tot, self.tol, p_a), self.ea).x
 
     def end(self, x_end, mu):
         eb_end = self.eb(x_end)
         if eb_end >= mu:
             return x_end
         search = _crossing(x_end, eb_end - mu, self.x_peak, self.eb_peak - mu, self.tol)
-        return _drive(search, lambda x: self.eb(x) - mu)
+        return drive(search, lambda x: self.eb(x) - mu)
 
     def run(self, mus):
         """(points, parameter_grid, infeasible) as pareto_epsilon_constraint reports them."""
@@ -724,14 +736,14 @@ class TestCrossing:
         root = x_good + math.copysign(0.5 ** 0.5, x_bad - x_good)
         f = lambda x: 0.5 - (x - x_good) ** 2
         calls = []
-        x = _drive(_crossing(x_bad, f(x_bad), x_good, f(x_good), self.TOL), lambda x: calls.append(x) or f(x))
+        x = drive(_crossing(x_bad, f(x_bad), x_good, f(x_good), self.TOL), lambda x: calls.append(x) or f(x))
         assert f(x) >= 0.0
         assert abs(x - root) <= self.TOL
         assert len(calls) < math.ceil(math.log2(abs(x_good - x_bad) / self.TOL))
 
     def test_feasible_end_at_root(self):
         f = lambda x: x - 1.0
-        x = _drive(_crossing(0.0, -1.0, 1.0, 0.0, self.TOL), f)
+        x = drive(_crossing(0.0, -1.0, 1.0, 0.0, self.TOL), f)
         assert 1.0 - self.TOL <= x <= 1.0
 
     @pytest.mark.parametrize("x_bad, x_good", [(1000.0, 300.0), (0.0, 300.0)])
@@ -743,7 +755,7 @@ class TestCrossing:
         root = x_good + math.copysign(200.0, x_bad - x_good)
         f = lambda x: min(0.0, 200.0 - abs(x - x_good))
         calls = []
-        x = _drive(_crossing(x_bad, f(x_bad), x_good, 0.0, tol), lambda x: calls.append(x) or f(x))
+        x = drive(_crossing(x_bad, f(x_bad), x_good, 0.0, tol), lambda x: calls.append(x) or f(x))
         assert f(x) == 0.0
         assert abs(x - root) <= tol
         assert len(calls) <= 2 * math.log2(p_tot / tol)
