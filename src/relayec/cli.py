@@ -38,6 +38,11 @@ BENCH_OMEGA = (0.01, 0.05, 0.10)
 BENCH_FIXED = {"mode", "omega", "method"}
 W_GRID = tuple(np.linspace(0.0, 1.0, 21))
 THETA_GRID = tuple(np.logspace(-4.0, -1.0, 10))
+# the config fields a sweep axis sets; a p_r sweep fixes the allocation instead
+SWEEP_FIELDS = {
+    "p_r": (), "eps": ("eps_a", "eps_b"), "theta": ("theta_a", "theta_b"),
+    "w": ("w",), "omega": ("omega",), "d_a": ("d_a",),
+}
 
 SWEEP_COLUMNS = [
     "sweep_param", "sweep_value", "mode", "method",
@@ -62,28 +67,15 @@ class ConfigError(Exception):
     pass
 
 
-# the config fields that make up a SystemParams, d_a and alpha through its reference geometry
-_SCENARIO_KEYS = ("d_a", "alpha") + tuple(f.name for f in fields(SystemParams) if f.name != "geom")
-_REFERENCE = SystemParams()
+# the config fields that make up the scenario
+_SCENARIO_KEYS = tuple(f.name for f in fields(SystemParams))
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Scenario constants, by default the reference scenario's, plus run controls."""
+class ExperimentConfig(SystemParams):
+    """A scenario, the fields of SystemParams with the relay placement as
+    ``d_a`` and ``alpha`` (by default the reference scenario), plus run controls."""
 
-    m: int = _REFERENCE.m
-    p_tot: float = _REFERENCE.p_tot
-    alpha: float = _REFERENCE.geom.alpha
-    d_a: float = _REFERENCE.geom.d_a
-    omega: float = _REFERENCE.omega
-    eps_a: float = _REFERENCE.eps_a
-    eps_b: float = _REFERENCE.eps_b
-    theta_a: float = _REFERENCE.theta_a
-    theta_b: float = _REFERENCE.theta_b
-    gamma_t_a: float = _REFERENCE.gamma_t_a
-    gamma_t_b: float = _REFERENCE.gamma_t_b
-    w: float = _REFERENCE.w
-    hd_rate_blocklength: str = _REFERENCE.hd_rate_blocklength
     mode: str = "hd"
     samples: int = 1000
     seed: int = 7
@@ -104,20 +96,19 @@ class ExperimentConfig:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        values = [(f.name, getattr(self, f.name)) for f in fields(self)]
-        for name, v in values + [("sweep_values", x) for x in self.sweep_values]:
+        if self.sweep_param and self.sweep_param not in SWEEP_FIELDS:
+            raise ConfigError(f"unknown sweep parameter {self.sweep_param!r}")
+        for v in self.sweep_values:
             if isinstance(v, float) and not math.isfinite(v):
-                raise ConfigError(f"{name} must be finite, got {v}")
+                raise ConfigError(f"sweep_values must be finite, got {v}")
         if self.sweep_values and list(self.sweep_values) != sorted(self.sweep_values):
             raise ConfigError("sweep_values must be sorted ascending")
-        if self.sweep_param == "p_r" and not all(0.0 <= x <= self.p_tot for x in self.sweep_values):
-            raise ConfigError(f"p_r sweep values must lie in [0, p_tot = {self.p_tot}]")
-
-    def system_params(self) -> SystemParams:
-        try:
-            return SystemParams.reference(**{k: getattr(self, k) for k in _SCENARIO_KEYS})
+        try:  # the scenario's own range checks reject every non-finite value
+            super().__post_init__()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.sweep_param == "p_r" and not all(0.0 <= x <= self.p_tot for x in self.sweep_values):
+            raise ConfigError(f"p_r sweep values must lie in [0, p_tot = {self.p_tot}]")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
@@ -213,17 +204,8 @@ def _cell_json(v):
 # ---------------------------------------------------------------------------
 # sweep engine
 
-# the config fields a sweep axis sets; a p_r sweep fixes the allocation instead
-SWEEP_FIELDS = {
-    "p_r": (), "eps": ("eps_a", "eps_b"), "theta": ("theta_a", "theta_b"),
-    "w": ("w",), "omega": ("omega",), "d_a": ("d_a",),
-}
-
-
-def _apply_sweep_value(cfg: ExperimentConfig, value: float) -> ExperimentConfig:
-    if cfg.sweep_param not in SWEEP_FIELDS:
-        raise ConfigError(f"unknown sweep parameter {cfg.sweep_param!r}")
-    names = SWEEP_FIELDS[cfg.sweep_param]
+def _apply_sweep_value(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
+    names = SWEEP_FIELDS[axis]
     return replace(cfg, **dict.fromkeys(names, value)) if names else cfg
 
 
@@ -243,9 +225,8 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
     if not config.sweep_values:
         raise ConfigError("sweep grid is empty")
     mode = RelayMode(config.mode)
-    cfgs = [_apply_sweep_value(config, float(value)) for value in config.sweep_values]
-    params = [cfg.system_params() for cfg in cfgs]
-    geoms = {cfg.d_a: p.geom for cfg, p in zip(cfgs, params)}  # one sample set per placement
+    cfgs = [_apply_sweep_value(config, config.sweep_param, float(value)) for value in config.sweep_values]
+    geoms = {cfg.d_a: cfg.geom for cfg in cfgs}  # one sample set per placement
     drawn = {d_a: sample_channels(geom, config.samples, config.seed) for d_a, geom in geoms.items()}
     samples = [drawn[cfg.d_a] for cfg in cfgs]
 
@@ -253,9 +234,9 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
     shared = config.sweep_param in ("p_r", "w")  # one scenario: the curve's points share one kernel
     reports = []
     for group in [range(len(cfgs))] if shared else [[i] for i in range(len(cfgs))]:
-        s, p = samples[group[0]], params[group[0]]  # the group's scenario, up to w, which no kernel reads
+        s, p = samples[group[0]], cfgs[group[0]]  # the group's scenario, up to w, which no kernel reads
         if method in ("exact", "approx"):
-            reports += _solve_weights(mode, s, p, [params[i].w for i in group], SolveMethod(method))
+            reports += _solve_weights(mode, s, p, [cfgs[i].w for i in group], SolveMethod(method))
             continue
         if method == "fixed":
             allocs = [PowerAllocation.from_relay_power(float(config.sweep_values[i]), p.p_tot) for i in group]
@@ -267,7 +248,7 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
         ]
 
     rows = []
-    for value, cfg, p, report in zip(config.sweep_values, cfgs, params, reports):
+    for value, cfg, report in zip(config.sweep_values, cfgs, reports):
         row = dict(
             vars(cfg),
             sweep_value=float(value),
@@ -276,7 +257,7 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
             p_node=report.alloc.p_node,
             r_ea=report.ec.r_ea,
             r_eb=report.ec.r_eb,
-            weighted_sum=report.ec.weighted_sum(p.w),
+            weighted_sum=report.ec.weighted_sum(cfg.w),
             silenced=report.silenced or "",
             degenerate=report.degenerate,
             iterations=report.iterations,
@@ -299,15 +280,14 @@ def bench_rows(config: ExperimentConfig, repeats: int) -> list[dict]:
     cells = [(RelayMode.HD, "eps", e) for e in BENCH_EPS] + [(RelayMode.FD, "omega", o) for o in BENCH_OMEGA]
     rows = []
     for mode, param_name, value in cells:
-        cfg = replace(config, **dict.fromkeys(SWEEP_FIELDS[param_name], value))
-        params = cfg.system_params()
-        samples = sample_channels(params.geom, cfg.samples, cfg.seed)
+        cfg = _apply_sweep_value(config, param_name, value)
+        samples = sample_channels(cfg.geom, cfg.samples, cfg.seed)
 
         t_exact, t_approx = [], []
         for _ in range(repeats):
-            rep_e = solve_exact(mode, samples, params)
+            rep_e = solve_exact(mode, samples, cfg)
             t_exact.append(rep_e.wall_time)
-            rep_a = solve_approx(mode, samples, params)
+            rep_a = solve_approx(mode, samples, cfg)
             t_approx.append(rep_a.wall_time)
 
         mean_e = mean(t_exact)
@@ -321,8 +301,8 @@ def bench_rows(config: ExperimentConfig, repeats: int) -> list[dict]:
             "repeats": repeats,
             "p_r_exact": rep_e.alloc.p_r,
             "p_r_approx": rep_a.alloc.p_r,
-            "wsum_exact": rep_e.ec.weighted_sum(params.w),
-            "wsum_approx": rep_a.ec.weighted_sum(params.w),
+            "wsum_exact": rep_e.ec.weighted_sum(cfg.w),
+            "wsum_approx": rep_a.ec.weighted_sum(cfg.w),
             "evals_exact": rep_e.objective_evals,
             "evals_approx": rep_a.objective_evals,
             "mean_ms_exact": 1e3 * mean_e,
@@ -422,11 +402,10 @@ def fig8_rows(cfg: ExperimentConfig) -> list[dict]:
     rows = []
     for d_a, omega in FIG8_SCENARIOS:
         sub = replace(cfg, mode="fd", d_a=d_a, omega=omega)
-        params = sub.system_params()
-        samples = sample_channels(params.geom, sub.samples, sub.seed)
-        weighted = pareto_weighted(RelayMode.FD, samples, params, W_GRID, method=method)
+        samples = sample_channels(sub.geom, sub.samples, sub.seed)
+        weighted = pareto_weighted(RelayMode.FD, samples, sub, W_GRID, method=method)
         mu_grid = tuple(sorted({p.r_eb for p in weighted.points}))
-        constrained = pareto_epsilon_constraint(RelayMode.FD, samples, params, mu_grid)
+        constrained = pareto_epsilon_constraint(RelayMode.FD, samples, sub, mu_grid)
         for kind, front in (("weighted", weighted), ("epsilon", constrained)):
             rows.extend(
                 dict(

@@ -31,7 +31,8 @@ class RelayMode(enum.Enum):
 @dataclass(frozen=True)
 class SystemParams:
     """All scenario constants of one experiment, by default those of the
-    reference scenario."""
+    reference scenario.  The relay sits at ``d_a`` on the unit segment under
+    path-loss exponent ``alpha``; :attr:`geom` is that placement."""
 
     m: int = 100
     p_tot: float = 1000.0
@@ -40,7 +41,8 @@ class SystemParams:
     eps_b: float = 1e-4
     theta_a: float = 1e-3
     theta_b: float = 1e-3
-    geom: Geometry = Geometry(d_a=0.5, alpha=4.0)
+    d_a: float = 0.5
+    alpha: float = 4.0
     gamma_t_a: float = 1.0
     gamma_t_b: float = 1.0
     w: float = 0.5
@@ -50,6 +52,7 @@ class SystemParams:
 
     def __post_init__(self):
         _require_real(self, _NUMBER_FIELDS)
+        Geometry(self.d_a, self.alpha)  # rejects a bad d_a or alpha with its own message
         if not (self.m >= 1 and float(self.m).is_integer()):  # False for NaN; inf is no integer
             raise ValueError(f"m must be a positive integer, got {self.m}")
         if not 0.0 < self.p_tot < math.inf:
@@ -70,6 +73,10 @@ class SystemParams:
         if self.hd_rate_blocklength not in ("m", "m/2"):
             raise ValueError("hd_rate_blocklength must be 'm' or 'm/2'")
 
+    @property
+    def geom(self) -> Geometry:
+        return Geometry(self.d_a, self.alpha)
+
     def eps_for(self, node: str) -> float:
         return self.eps_a if node == "A" else self.eps_b
 
@@ -87,13 +94,9 @@ class SystemParams:
         return replace(self, **changes)
 
     @classmethod
-    def reference(
-        cls, *, d_a: float = 0.5, alpha: float = 4.0, geom: Geometry | None = None, **overrides
-    ) -> "SystemParams":
-        """The reference scenario (the field defaults) with the relay at
-        ``d_a`` under path-loss exponent ``alpha`` (a ``geom`` wins over both)
-        and the given fields overridden."""
-        return cls(geom=geom or Geometry(d_a, alpha), **overrides)
+    def reference(cls, **overrides) -> "SystemParams":
+        """The reference scenario (the field defaults) with the given fields overridden."""
+        return cls(**overrides)
 
 
 @dataclass(frozen=True)

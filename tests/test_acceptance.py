@@ -34,6 +34,7 @@ from relayec import (
     solve_approx,
     solve_exact,
 )
+from relayec.capacity import _kernel
 from relayec.cli import ExperimentConfig, bench_rows, main
 from relayec.solver import SolveMethod
 
@@ -51,6 +52,15 @@ def reference(d_a=0.5, **kw):
 
 def ref_samples(d_a=0.5, n=N, seed=SEED):
     return sample_channels(Geometry(d_a=d_a, alpha=4.0), n, seed)
+
+
+def node_a_curve(mode, samples, params, grid01) -> np.ndarray:
+    """Node A's effective capacity at relay powers grid01 * P_tot, from one
+    batched kernel call: each row is bit for bit the one-shot
+    effective_capacity value (tests/test_capacity.py, TestBatchedKernel)."""
+    allocs = [PowerAllocation.from_relay_power(float(x * params.p_tot), params.p_tot) for x in grid01]
+    caps = _kernel(mode, samples, params, ("A",))[0]([a.p_r for a in allocs], [a.p_node for a in allocs])
+    return np.array([cap for (cap,) in caps])
 
 
 def down_flips(values: np.ndarray) -> int:
@@ -191,12 +201,7 @@ def test_c03_shape_property_suite():
             theta_a=float(10 ** rng.uniform(-4.0, -2.0)),
         )
         s = sample_channels(p.geom, 150, seed=int(rng.integers(1, 1 << 30)))
-        vals = np.array([
-            effective_capacity(
-                RelayMode.HD, s, p, PowerAllocation.from_relay_power(float(x * p.p_tot), p.p_tot), "A"
-            )
-            for x in grid01
-        ])
+        vals = node_a_curve(RelayMode.HD, s, p, grid01)
         if down_flips(vals) != 1 or not 0 < int(np.argmax(vals)) < vals.size - 1:
             violations["hd_unimodal"] += 1
 
@@ -217,12 +222,7 @@ def test_c03_shape_property_suite():
         ])
         if down_flips(sinr) != 1 or up_flips(sinr) != 0:
             violations["fd_single_peak"] += 1
-        vals = np.array([
-            effective_capacity(
-                RelayMode.FD, s, p, PowerAllocation.from_relay_power(float(x * p.p_tot), p.p_tot), "A"
-            )
-            for x in grid01
-        ])
+        vals = node_a_curve(RelayMode.FD, s, p, grid01)
         if down_flips(vals) != 1 or not 0 < int(np.argmax(vals)) < vals.size - 1:
             violations["fd_single_peak"] += 1
 

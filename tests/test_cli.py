@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import relayec.capacity as capacity_module
 import relayec.cli as cli
-from relayec import PowerAllocation, RelayMode, ec_point, sample_channels, solve_approx, solve_exact
+from relayec import PowerAllocation, RelayMode, SystemParams, ec_point, sample_channels, solve_approx, solve_exact
 from relayec.capacity import _kernel
 from relayec.cli import (
     BENCH_FILE_COLUMNS,
@@ -90,10 +90,21 @@ class TestConfig:
         assert ExperimentConfig(**load_config(path)) == cfg
 
     def test_defaults_are_reference_scenario(self):
-        cfg = ExperimentConfig()
-        p = cfg.system_params()
+        p = ExperimentConfig()
         assert (p.m, p.p_tot, p.geom.alpha, p.geom.d_a) == (100, 1000.0, 4.0, 0.5)
         assert (p.eps_a, p.theta_a, p.gamma_t_a) == (1e-4, 1e-3, 1.0)
+
+    def test_is_a_scenario(self):
+        assert isinstance(ExperimentConfig(), SystemParams)
+        defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+        assert {f.name: defaults.get(f.name) for f in fields(SystemParams)} == {
+            f.name: f.default for f in fields(SystemParams)
+        }
+
+    @pytest.mark.parametrize("kwargs", [{"w": 2.0}, {"d_a": 1.5}, {"sweep_param": "bogus"}])
+    def test_rejected_when_built(self, kwargs):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**kwargs)
 
     def test_file_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -223,10 +234,9 @@ class TestRunSweep:
         cfg = small_cfg(mode=mode, d_a=0.3, sweep_param="p_r", sweep_values=tuple(np.linspace(0.0, 1000.0, 41)))
         rows = run_sweep(cfg)
         assert len(builds) == 1  # one kernel for the curve
-        params = cfg.system_params()
-        samples = sample_channels(params.geom, cfg.samples, cfg.seed)
+        samples = sample_channels(cfg.geom, cfg.samples, cfg.seed)
         for row in rows:
-            point = ec_point(RelayMode(mode), samples, params, PowerAllocation.from_relay_power(row["p_r"], params.p_tot))
+            point = ec_point(RelayMode(mode), samples, cfg, PowerAllocation.from_relay_power(row["p_r"], cfg.p_tot))
             assert (row["r_ea"], row["r_eb"], row["p_node"]) == (point.r_ea, point.r_eb, point.alloc.p_node)
 
     @pytest.mark.parametrize("mode", ["hd", "fd"])
@@ -237,9 +247,9 @@ class TestRunSweep:
         cfg = small_cfg(mode=mode, d_a=0.3, method="equal", sweep_param="w", sweep_values=W_GRID)
         rows = run_sweep(cfg)
         assert len(builds) == 1  # one kernel call for the curve, not one per weight
-        samples = sample_channels(cfg.system_params().geom, cfg.samples, cfg.seed)
+        samples = sample_channels(cfg.geom, cfg.samples, cfg.seed)
         for row in rows:
-            params = replace(cfg, w=row["sweep_value"]).system_params()
+            params = replace(cfg, w=row["sweep_value"])
             point = ec_point(RelayMode(mode), samples, params, PowerAllocation.equal_split(params.p_tot))
             assert (row["p_r"], row["p_node"], row["r_ea"], row["r_eb"]) == (
                 point.alloc.p_r, point.alloc.p_node, point.r_ea, point.r_eb
@@ -279,11 +289,11 @@ class TestRunSweep:
             sweep_param="w", sweep_values=tuple(np.linspace(0.0, 1.0, 11)),
         )
         rows = run_sweep(cfg)
-        samples = sample_channels(cfg.system_params().geom, cfg.samples, cfg.seed)
+        samples = sample_channels(cfg.geom, cfg.samples, cfg.seed)
         solver = solve_exact if method == "exact" else solve_approx
         silenced = set()
         for row in rows:
-            params = replace(cfg, w=row["sweep_value"]).system_params()
+            params = replace(cfg, w=row["sweep_value"])
             report = solver(RelayMode(mode), samples, params)
             silenced.add(row["silenced"])
             assert (row["p_r"], row["r_ea"], row["r_eb"]) == (report.alloc.p_r, report.ec.r_ea, report.ec.r_eb)
@@ -451,6 +461,15 @@ class TestMain:
         for name in (*FIGURES, "fig8", "bench"):
             line = next(line for line in text.splitlines() if line.split()[:1] == [name])
             assert len(line.split()) > 1, name
+
+    @pytest.mark.parametrize("command, text", [("fig4", "sweep_param = bogus\n"), ("fig7", "w = 2.0\n")])
+    def test_invalid_field_the_subcommand_sets_from_file(self, tmp_path, capsys, command, text):
+        # the subcommand overrides the field, but a config file's value must still be valid
+        cfgfile, out = tmp_path / "run.cfg", tmp_path / "x.csv"
+        cfgfile.write_text(text)
+        assert main([command, "--config", str(cfgfile), "--samples", "20", "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_out_of_range_relay_power_from_file(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"

@@ -88,11 +88,8 @@ class TestSystemParams:
         defaults = {f.name: f.default for f in fields(SystemParams)}
         covered = set()
         for key, value in (item.split("=") for item in named.split(", ")):
-            if key in ("d_a", "alpha"):
-                names, got = ["geom"], [getattr(defaults["geom"], key)]
-            else:
-                names = [key + "_a", key + "_b"] if key + "_a" in defaults else [key.lower()]
-                got = [defaults[name] for name in names]
+            names = [key + "_a", key + "_b"] if key + "_a" in defaults else [key.lower()]
+            got = [defaults[name] for name in names]
             assert got == [float(value.split()[0])] * len(names), key
             covered.update(names)
         assert covered == set(defaults) - {"hd_rate_blocklength"}
@@ -102,11 +99,25 @@ class TestSystemParams:
         assert p.geom.d_a == 0.2 and p.omega == 0.05 and p.w == 0.9
 
     def test_reference_geometry(self):
-        geom = Geometry(d_a=0.2, alpha=3.0)
-        assert SystemParams.reference(geom=geom, d_a=0.7, alpha=2.0).geom is geom  # geom wins
-        assert SystemParams.reference(geom=None).geom == Geometry(d_a=0.5, alpha=4.0)
+        p = SystemParams.reference(d_a=0.2, alpha=3.0)
+        assert (p.d_a, p.alpha) == (0.2, 3.0) and p.geom == Geometry(d_a=0.2, alpha=3.0)
+        assert SystemParams.reference().geom == Geometry(d_a=0.5, alpha=4.0)
         p = SystemParams.reference(d_a=0.7, alpha=2.0, m=50, hd_rate_blocklength="m")
         assert p.geom == Geometry(d_a=0.7, alpha=2.0) and (p.m, p.hd_rate_blocklength) == (50, "m")
+
+    def test_geometry_is_the_placement_fields(self):
+        p = SystemParams(d_a=0.3)
+        assert p.geom == Geometry(0.3, 4.0)
+        with pytest.raises(AttributeError):
+            p.geom = Geometry(0.2, 4.0)
+        # Geometry's own checks and messages
+        for bad, message in (
+            (dict(d_a=1.5), "d_a must lie in"),
+            (dict(d_a=np.array([0.3])), "d_a must be a real number"),
+            (dict(alpha=0.0), "alpha must be positive"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                SystemParams(**bad)
 
     def test_reference_rejects_unknown_key(self):
         with pytest.raises(TypeError):
