@@ -8,10 +8,10 @@ theta.  Over a set of fading samples it is estimated as
     R_E = -(1 / (m theta)) * ln( mean_i[ exp(-r_i c theta) (1 - eps) + eps ] )
 
 where r_i is the per-sample finite-blocklength rate and c counts the
-channel uses one packet exchange occupies: m/2 in HD (two slots share the
-frame) and m in FD.  Natural logarithm throughout.  Per-sample rates can
-be negative in deep fades; they are kept as-is because the exponential
-handles them exactly and truncation would bias the estimate.
+channel uses one packet exchange occupies (``link._mode_terms``).  Natural
+logarithm throughout.  Per-sample rates can be negative in deep fades; they
+are kept as-is because the exponential handles them exactly and truncation
+would bias the estimate.
 
 Every estimate runs through one blocked kernel over K >= 1 relay powers.
 Per block of samples and chunk of relay powers it computes every requested
@@ -87,6 +87,8 @@ from .link import (
     PowerAllocation,
     RelayMode,
     SystemParams,
+    _mode_terms,
+    _oriented,
     _sinr_coefficients,
     _sinr_node,
     _sinr_shared,
@@ -122,13 +124,6 @@ class EcPoint:
         return w * self.r_ea + (1.0 - w) * self.r_eb
 
 
-def rate_blocklength(params: SystemParams, mode: RelayMode) -> float:
-    """Channel uses handed to the rate formula for one packet."""
-    if mode is RelayMode.FD:
-        return float(params.m)
-    return params.m / 2.0 if params.hd_rate_blocklength == "m/2" else float(params.m)
-
-
 class _NodeTerms(NamedTuple):
     """Loop-invariant pieces of one node's estimator."""
 
@@ -148,31 +143,9 @@ class _NodeTerms(NamedTuple):
 
 def _node_terms(samples: ChannelSamples, params: SystemParams, node: str, m_cu: float, c: float) -> _NodeTerms:
     """One node's terms at rate blocklength ``m_cu`` and exponent blocklength ``c``."""
-    if node not in NODES:
-        raise ValueError(f"node must be 'A' or 'B', got {node!r}")
+    hr, _ = _oriented(samples.h_a, samples.h_b, node)
     eps, theta = params.eps_for(node), params.theta_for(node)
-    hr = samples.h_a if node == "A" else samples.h_b
     return _NodeTerms(hr, rate_dispersion_scale(m_cu, eps), c * theta, params.m * theta, math.log1p(-eps), math.log(eps))
-
-
-def _rows(fn):
-    """A kernel closure ``fn(p_r, *columns)`` that rejects a column whose
-    length is not p_r's and runs a call of three or more rows under the
-    ufunc buffer ``_BUFSIZE``, restoring the caller's buffer size on return."""
-
-    def call(p_r, *columns):
-        for col in columns:
-            if col is not None and len(col) != len(p_r):
-                raise ValueError(f"got {len(col)} entries for {len(p_r)} relay powers")
-        if len(p_r) < 3:
-            return fn(p_r, *columns)
-        old = np.setbufsize(_BUFSIZE)  # not np.errstate: numpy < 2 does not restore it there
-        try:
-            return fn(p_r, *columns)
-        finally:
-            np.setbufsize(old)
-
-    return call
 
 
 def _submit(fn, *args):
@@ -221,11 +194,9 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
     per-node columns and the workers.  A p or w whose length is not p_r's
     raises ValueError.  One closure must not be called from two threads at
     once: its workers' buffers serve one call at a time."""
-    m_cu = rate_blocklength(params, mode)
-    c = float(params.m) if mode is RelayMode.FD else params.m / 2.0  # channel uses in the exponent
+    omega, m_cu, c = _mode_terms(mode, params)
     bonus = rate_blocklength_bonus(m_cu)
     terms = [_node_terms(samples, params, node, m_cu, c) for node in nodes]
-    omega, p_tot = params.omega_for(mode), params.p_tot
     n, lanes = len(samples), len(terms)
     width = min(n, _BLOCK)
     rows = _BLOCK // width
@@ -287,32 +258,39 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
             reduce(b, at, _rate_into(gamma, q, bonus, tmp), scale)
 
     def passes(p_r, p, reduce):
-        """Every chunk of rows over every block, by ``run``.  A chunk of two
-        or more blocks runs them on up to ``_WORKERS`` workers: the caller
-        takes blocks 0, 2, ..., the pool thread 1, 3, ..., each in its own
-        buffer, and the call returns once both are done."""
+        """Every chunk of rows over every block, by ``run``, at node powers p of
+        p_r's length (None: the budget left, split), three or more rows under
+        ``_BUFSIZE``.  A chunk of two or more blocks runs them on up to ``_WORKERS``
+        workers: the caller takes blocks 0, 2, ..., the pool thread 1, 3, ..., each
+        in its own buffer, and the call returns once both are done."""
         nonlocal bufs
+        if p is not None and len(p) != len(p_r):
+            raise ValueError(f"got {len(p)} entries for {len(p_r)} relay powers")
         if bufs.shape[2] < min(len(p_r), rows):  # grow the buffer to the largest chunk (one worker)
             bufs = np.empty((1, 2 + lanes, min(len(p_r), rows), width))
             cached[0].clear()
-        for r0 in range(0, len(p_r), rows):
-            xs = p_r[r0 : r0 + rows]
-            ys = [(p_tot - x) / 2.0 for x in xs] if p is None else p[r0 : r0 + rows]
-            # the SINR factors per row, as columns; one row's stay floats, on numpy's scalar paths
-            coef = [_sinr_coefficients(x, y, omega) for x, y in zip(xs, ys)]
-            k = len(coef)
-            at, chunk = (r0, coef[0]) if k == 1 else (slice(r0, r0 + k), np.array(coef).T[:, :, None])
-            if len(bufs) == 1:
-                run(0, range(len(blocks)), k, at, chunk, reduce)
-                continue
-            task = _submit(run, 1, range(1, len(blocks), 2), k, at, chunk, reduce)
-            try:
-                run(0, range(0, len(blocks), 2), k, at, chunk, reduce)
-            finally:
-                task.exception()  # waits: the pool thread is done with the chunk
-            task.result()  # re-raises the pool thread's exception
+        old = np.setbufsize(_BUFSIZE) if len(p_r) >= 3 else None  # not np.errstate: numpy < 2 does not restore it there
+        try:
+            for r0 in range(0, len(p_r), rows):
+                xs = p_r[r0 : r0 + rows]
+                ys = [(params.p_tot - x) / 2.0 for x in xs] if p is None else p[r0 : r0 + rows]
+                # the SINR factors per row, as columns; one row's stay floats, on numpy's scalar paths
+                coef = [_sinr_coefficients(x, y, omega) for x, y in zip(xs, ys)]
+                k = len(coef)
+                at, chunk = (r0, coef[0]) if k == 1 else (slice(r0, r0 + k), np.array(coef).T[:, :, None])
+                if len(bufs) == 1:
+                    run(0, range(len(blocks)), k, at, chunk, reduce)
+                    continue
+                task = _submit(run, 1, range(1, len(blocks), 2), k, at, chunk, reduce)
+                try:
+                    run(0, range(0, len(blocks), 2), k, at, chunk, reduce)
+                finally:
+                    task.exception()  # waits: the pool thread is done with the chunk
+                task.result()  # re-raises the pool thread's exception
+        finally:
+            if old is not None:
+                np.setbufsize(old)
 
-    @_rows
     def capacities(p_r, p=None) -> list:
         kept = np.empty((2, len(blocks), lanes, len(p_r)))  # per block, node and row: z_b and s_b
 
@@ -334,8 +312,9 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
             for z_row, s_row in zip(zip(*top), zip(*sums))
         ]
 
-    @_rows
     def taus(p_r, w) -> list:
+        if len(w) != len(p_r):
+            raise ValueError(f"got {len(w)} entries for {len(p_r)} relay powers")
         low = np.empty((len(blocks), len(p_r)))  # per block and row: the minimum
 
         def reduce(b, at, rs, _):
@@ -374,7 +353,7 @@ def _surrogate(mode: RelayMode, samples: ChannelSamples, params: SystemParams, w
     the least; a weight batch keeps the union.  Up to ``_FLOAT_SAMPLES``
     kept samples are evaluated in Python floats, one ``np.log2`` call per
     probe (+, -, *, / and sqrt round as numpy's), more by the kernel."""
-    m_cu, omega, p_tot = rate_blocklength(params, mode), params.omega_for(mode), params.p_tot
+    (omega, m_cu, _), p_tot = _mode_terms(mode, params), params.p_tot
     qs, bonus = [rate_dispersion_scale(m_cu, params.eps_for(node)) for node in NODES], rate_blocklength_bonus(m_cu)
     h_a, h_b, n = samples.h_a, samples.h_b, len(samples)
     a_max, b_max = float(h_a.max()), float(h_b.max())

@@ -86,10 +86,6 @@ class SystemParams:
     def gamma_t_for(self, node: str) -> float:
         return self.gamma_t_a if node == "A" else self.gamma_t_b
 
-    def omega_for(self, mode: RelayMode) -> float:
-        """Self-interference the SINR sees: HD is FD at omega = 0."""
-        return self.omega if mode is RelayMode.FD else 0.0
-
     def with_(self, **changes) -> "SystemParams":
         return replace(self, **changes)
 
@@ -127,6 +123,19 @@ class PowerAllocation:
     def equal_split(cls, p_tot: float) -> "PowerAllocation":
         """Baseline third/third/third split between the relay and both nodes."""
         return cls(p_r=p_tot / 3.0, p_node=p_tot / 3.0)
+
+
+def _mode_terms(mode: RelayMode, params: SystemParams) -> tuple:
+    """(omega, m_cu, c): the self-interference the SINR sees and one packet's
+    channel uses in the rate formula and in the capacity's exponent.  HD is
+    FD at omega = 0 over half the frame, its two slots: c = m/2, and m_cu =
+    m/2 or m by ``hd_rate_blocklength``.  Any other mode raises ValueError."""
+    if mode is RelayMode.FD:
+        return params.omega, float(params.m), float(params.m)
+    if mode is RelayMode.HD:
+        m_cu = params.m / 2.0 if params.hd_rate_blocklength == "m/2" else float(params.m)
+        return 0.0, m_cu, params.m / 2.0
+    raise ValueError(f"mode must be RelayMode.HD or RelayMode.FD, got {mode!r}")
 
 
 def _oriented(h_a, h_b, node: str):

@@ -2,10 +2,10 @@
 
 All optimization here is one-dimensional: pick the relay power p_r in
 (0, p_tot), the node power follows from the budget.  The exact solver
-minimizes the Monte-Carlo weighted objective by golden-section search.  At
-the reference budgets it is unimodal in p_r (concave in HD, single-peaked in
-FD), but not at budgets below about 0.3 W, where the rate at SINR 0 is
-positive (strict xfail test_exact_solve_beats_equal_split).  The
+maximizes the Monte-Carlo weighted capacity by golden-section search.  At
+the reference budgets it is mostly single-peaked in p_r, but not below
+about 0.3 W, where the rate at SINR 0 is positive, nor always in FD, where
+a weighted sum can peak twice (two strict xfails in test_solver).  The
 approximate solver minimizes the cheap min-max surrogate instead, but
 only between the two closed-form single-node optima: outside that
 interval the surrogate develops spurious minima (worst-sample artifacts
@@ -40,7 +40,7 @@ import numpy as np
 
 from .capacity import EcPoint, _kernel, _surrogate
 from .channel import ChannelSamples
-from .link import NODES, PowerAllocation, RelayMode, SystemParams, optimal_relay_power_fd, sinr_fd
+from .link import NODES, PowerAllocation, RelayMode, SystemParams, _mode_terms, optimal_relay_power_fd, sinr_fd
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 GROWTH = 1.0 + INVPHI
@@ -187,7 +187,7 @@ def _has_interior_valley(probes: Sequence[tuple[float, float]]) -> bool:
 
 def _single_node_optima(mode: RelayMode, gains: tuple[float, float], params: SystemParams) -> tuple[float, float]:
     # The FD closed form at omega = 0 is the HD one bit for bit.
-    omega = params.omega_for(mode)
+    omega = _mode_terms(mode, params)[0]
     return tuple(optimal_relay_power_fd(*gains, params.p_tot, omega, node) for node in NODES)
 
 
@@ -267,7 +267,7 @@ def solve_exact(
     *,
     apply_policy: bool = True,
 ) -> SolveReport:
-    """Minimize the exact Monte-Carlo weighted objective over relay power.
+    """Maximize the exact Monte-Carlo weighted capacity over relay power.
 
     The search runs over the whole open budget interval, warm started at
     the closed-form blend.  Single-peakedness of the objective, which fails
@@ -317,7 +317,7 @@ def _threshold_policy(
     flag set, which keeps sweeps comparable instead of transmitting nothing.
     """
     ha, hb = gains
-    omega = params.omega_for(mode)
+    omega = _mode_terms(mode, params)[0]
     below_a, below_b = (
         float(sinr_fd(report.alloc, omega, ha, hb, node)) <= params.gamma_t_for(node) for node in NODES
     )
@@ -334,16 +334,12 @@ def _threshold_policy(
     return replace(report, alloc=alloc, ec=EcPoint(*caps, alloc), silenced="A" if keep == "B" else "B")
 
 
-def _dominance_mask(points: Sequence[EcPoint], tol: float) -> list[bool]:
-    return [
-        not any(q.r_ea >= p.r_ea + tol and q.r_eb >= p.r_eb + tol for q in points)
-        for p in points
-    ]
-
-
 def _frontier(points: Sequence[EcPoint], grid: Sequence[float], method: SolveMethod, infeasible=()) -> ParetoFrontier:
     """The points no other beats by ``DOMINANCE_TOL`` in both capacities, with their grid values."""
-    mask = _dominance_mask(points, DOMINANCE_TOL)
+    mask = [
+        not any(q.r_ea >= p.r_ea + DOMINANCE_TOL and q.r_eb >= p.r_eb + DOMINANCE_TOL for q in points)
+        for p in points
+    ]
     return ParetoFrontier(
         points=tuple(p for p, keep in zip(points, mask) if keep),
         method=method,
@@ -360,6 +356,8 @@ def pareto_weighted(
     method: SolveMethod = SolveMethod.APPROXIMATE,
 ) -> ParetoFrontier:
     """Trace the capacity frontier by sweeping the priority weight."""
+    if method not in (SolveMethod.EXACT, SolveMethod.APPROXIMATE):
+        raise ValueError(f"method must be SolveMethod.EXACT or SolveMethod.APPROXIMATE, got {method!r}")
     if len(w_grid) == 0:
         raise ValueError("w_grid must not be empty")
     for w in w_grid:

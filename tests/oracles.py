@@ -11,8 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from relayec import ChannelSamples, PowerAllocation, RelayMode, SystemParams, fbl_rate, sinr_fd, snr_hd
-from relayec.capacity import rate_blocklength
-from relayec.link import _oriented, optimal_relay_power_hd
+from relayec.link import _mode_terms, _oriented, optimal_relay_power_hd
 from relayec.solver import _lockstep
 
 
@@ -24,8 +23,9 @@ def per_sample_rates(
     node: str,
 ) -> np.ndarray:
     """Finite-blocklength rate of one node for every fading sample."""
-    gamma = sinr_fd(alloc, params.omega_for(mode), samples.h_a, samples.h_b, node)
-    return fbl_rate(gamma, rate_blocklength(params, mode), params.eps_for(node))
+    omega, m_cu, _ = _mode_terms(mode, params)
+    gamma = sinr_fd(alloc, omega, samples.h_a, samples.h_b, node)
+    return fbl_rate(gamma, m_cu, params.eps_for(node))
 
 
 def q_tail(x):

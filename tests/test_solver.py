@@ -31,10 +31,9 @@ import relayec.capacity as capacity_module
 import relayec.solver as solver_module
 from relayec.capacity import _kernel
 from relayec.solver import (
-    DOMINANCE_TOL,
     SolveMethod,
     _crossing,
-    _dominance_mask,
+    _frontier,
     _line_search,
     _single_node_optima,
     line_search_tolerance,
@@ -336,6 +335,24 @@ def test_exact_solve_beats_equal_split(mode, n, seed, d_a, p_tot, omega, w):
     assert solved >= equal - 1e-12 * abs(equal)
 
 
+# perfbench's solve_sweep universe, op 4902.  The FD weighted sum has two
+# interior peaks, 0.809370 near p_r = 515 and 0.807948 near p_r = 840; the
+# search warm-started between them climbs the lower one and stops at
+# p_r = 838.04, 0.18% low, and its probe trail shows no valley, so the grid
+# fallback does not run.  The assertion stays as it is.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="exact solve stops on the lower of two FD peaks")
+def test_exact_solve_finds_higher_fd_peak():
+    p = SystemParams.reference(
+        d_a=0.2, eps_a=0.0001599311710995214, eps_b=8.032381182057178e-06, theta_a=0.011219540874254433,
+        theta_b=0.08165925668796997, omega=0.06878260218638113, w=0.09397415655670971,
+    )
+    s = sample_channels(p.geom, 1000, 220102774)
+    solved = solve_exact(RelayMode.FD, s, p, apply_policy=False).ec.weighted_sum(p.w)
+    grid = np.linspace(0.0, p.p_tot, 1001).tolist()
+    best = max(p.w * r_ea + (1.0 - p.w) * r_eb for r_ea, r_eb in _kernel(RelayMode.FD, s, p, ("A", "B"))[0](grid))
+    assert solved >= best - 1e-9 * abs(best)
+
+
 class TestThresholdPolicy:
     def test_zero_thresholds_leave_report_alone(self):
         s = reference_samples()
@@ -489,6 +506,31 @@ class TestParetoWeighted:
         s = reference_samples(50)
         with pytest.raises(ValueError):
             pareto_weighted(RelayMode.HD, s, SystemParams.reference(), ())
+
+    def test_floor_method_rejected(self):
+        # a weight sweep runs exact or approximate solves; this label once ran
+        # approximate ones and reported them as a floor trace
+        s = reference_samples(50)
+        with pytest.raises(ValueError, match="method"):
+            pareto_weighted(RelayMode.FD, s, SystemParams.reference(), (0.5,), SolveMethod.EPSILON_CONSTRAINT)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mode, s, p: solve_exact(mode, s, p),
+        lambda mode, s, p: solve_approx(mode, s, p),
+        lambda mode, s, p: pareto_weighted(mode, s, p, (0.5,)),
+        lambda mode, s, p: pareto_epsilon_constraint(mode, s, p, (1.0,)),
+        lambda mode, s, p: effective_capacity(mode, s, p, PowerAllocation.equal_split(p.p_tot), "A"),
+        lambda mode, s, p: ec_point(mode, s, p, PowerAllocation.equal_split(p.p_tot)),
+    ],
+    ids=["solve_exact", "solve_approx", "pareto_weighted", "pareto_epsilon_constraint", "effective_capacity", "ec_point"],
+)
+def test_mode_must_be_a_relay_mode(call):
+    # the mode's value "fd" once fell through every FD test and ran HD
+    with pytest.raises(ValueError, match="mode"):
+        call("fd", reference_samples(50), SystemParams.reference())
 
 
 class TestLockstep:
@@ -718,12 +760,8 @@ class FloorTrace:
             left, right = self.end(0.0, mu), self.end(p_tot, mu)
             xs.append(self.x_peak if right - left <= self.tol else min(max(self.x_a, left), right))
         points = [ec_point(self.mode, self.samples, self.params, PowerAllocation.from_relay_power(x, p_tot)) for x in xs]
-        mask = _dominance_mask(points, DOMINANCE_TOL)
-        return (
-            tuple(pt for pt, keep in zip(points, mask) if keep),
-            tuple(mu for mu, keep in zip(feasible, mask) if keep),
-            tuple(float(mu) for mu in mus if mu > self.eb_peak),
-        )
+        front = _frontier(points, feasible, SolveMethod.EPSILON_CONSTRAINT)
+        return front.points, front.parameter_grid, tuple(float(mu) for mu in mus if mu > self.eb_peak)
 
 
 class TestCrossing:
@@ -762,6 +800,12 @@ class TestCrossing:
 
 
 class TestFilterDominated:
+    @staticmethod
+    def mask(points):
+        """Per point, whether ``_frontier`` keeps it."""
+        kept = _frontier(points, range(len(points)), SolveMethod.EXACT).parameter_grid
+        return [float(i) in kept for i in range(len(points))]
+
     def test_drops_strictly_dominated(self):
         a = PowerAllocation(1.0, 1.0)
         pts = [
@@ -770,12 +814,12 @@ class TestFilterDominated:
             EcPoint(0.5, 4.0, a),  # dominated by the first
             EcPoint(5.0, 1.0, a),
         ]
-        assert _dominance_mask(pts, DOMINANCE_TOL) == [True, True, False, True]
+        assert self.mask(pts) == [True, True, False, True]
 
     def test_keeps_ties_within_tolerance(self):
         a = PowerAllocation(1.0, 1.0)
         pts = [EcPoint(1.0, 1.0, a), EcPoint(1.0 + 1e-7, 1.0 + 1e-7, a)]
-        assert _dominance_mask(pts, DOMINANCE_TOL) == [True, True]
+        assert self.mask(pts) == [True, True]
 
 
 class TestValleyDetector:
