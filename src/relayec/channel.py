@@ -96,6 +96,8 @@ def sample_channels(geom: Geometry, n: int, seed: int) -> ChannelSamples:
     the array that becomes its gains and finished there, so the returned
     arrays are the only full-length allocations.
     """
+    if not (isinstance(n, numbers.Integral) and isinstance(seed, numbers.Integral)):  # numpy integers pass
+        raise ValueError(f"n and seed must be integers, got n={n!r}, seed={seed!r}")
     if n < 1:
         raise ValueError(f"need at least one sample, got n={n}")
     rng = np.random.default_rng(seed)

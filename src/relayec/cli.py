@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
+import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from statistics import mean, stdev
@@ -92,10 +94,10 @@ class ExperimentConfig(SystemParams):
             raise ConfigError(f"method must be exact|approx|equal, got {self.method!r}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv|json, got {self.format!r}")
-        if self.samples < 1:
-            raise ConfigError(f"samples must be >= 1, got {self.samples}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not (isinstance(self.samples, numbers.Integral) and self.samples >= 1):  # numpy integers pass
+            raise ConfigError(f"samples must be an integer >= 1, got {self.samples!r}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.sweep_param and self.sweep_param not in SWEEP_FIELDS:
             raise ConfigError(f"unknown sweep parameter {self.sweep_param!r}")
         for v in self.sweep_values:
@@ -112,10 +114,18 @@ class ExperimentConfig(SystemParams):
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_KINDS = {"int": int, "float": float, "str": str}  # field type -> parser of a config value or flag
+_KINDS = {  # field type -> parser of a config value or flag; a tuple is comma-separated floats
+    "int": int, "float": float, "str": str,
+    "tuple": lambda text: tuple(float(x) for x in text.split(",")) if text else (),
+}
 
 
-def _parse_kv(text: str) -> dict:
+def load_config(path) -> dict:
+    """The config fields a file of ``key = value`` lines sets, each parsed as its field's type."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -128,28 +138,11 @@ def _parse_kv(text: str) -> dict:
         value = value.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        out[key] = _coerce(key, value)
+        try:
+            out[key] = _KINDS[_FIELD_TYPES[key]](value)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {value!r}") from exc
     return out
-
-
-def _coerce(key: str, value: str):
-    kind = _FIELD_TYPES[key]
-    try:
-        if key == "sweep_values":
-            if not value:
-                return ()
-            return tuple(float(x) for x in value.split(","))
-        return _KINDS[kind](value)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {value!r}") from exc
-
-
-def load_config(path) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return _parse_kv(text)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +237,7 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
             allocs = [PowerAllocation.equal_split(p.p_tot)] * len(group)
         caps = _kernel(mode, s, p, NODES)[0]([a.p_r for a in allocs], [a.p_node for a in allocs])
         reports += [  # no search
-            SolveReport(a, EcPoint(r_ea, r_eb, a), None, None, 0, 0, 0.0) for a, (r_ea, r_eb) in zip(allocs, caps)
+            SolveReport(a, EcPoint(r_ea, r_eb, a), None, None, 0, 0) for a, (r_ea, r_eb) in zip(allocs, caps)
         ]
 
     rows = []
@@ -271,8 +264,8 @@ def bench_rows(config: ExperimentConfig, repeats: int) -> list[dict]:
     """Exact against approximate solve times per benchmark cell, HD then FD.
 
     One row per cell (error-probability grid in HD, residual self-interference
-    grid in FD) with mean and standard deviation of the solves' own wall
-    times over ``repeats`` runs, the exact/approx time ratio, and the solved
+    grid in FD) with mean and standard deviation of each solve call's wall
+    time over ``repeats`` runs, the exact/approx time ratio, and the solved
     outputs, which do not vary across repeats; also printed to stdout.
     """
     if repeats < 1:
@@ -285,10 +278,12 @@ def bench_rows(config: ExperimentConfig, repeats: int) -> list[dict]:
 
         t_exact, t_approx = [], []
         for _ in range(repeats):
+            t0 = time.perf_counter()
             rep_e = solve_exact(mode, samples, cfg)
-            t_exact.append(rep_e.wall_time)
+            t1 = time.perf_counter()
             rep_a = solve_approx(mode, samples, cfg)
-            t_approx.append(rep_a.wall_time)
+            t_exact.append(t1 - t0)
+            t_approx.append(time.perf_counter() - t1)
 
         mean_e = mean(t_exact)
         mean_a = mean(t_approx)
@@ -452,17 +447,12 @@ def _build_parser() -> _Parser:
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     given = load_config(args.config) if args.config else {}
-    values = dict(given)
-    if args.paper_defaults:  # the class holds each field's default
-        values.update((key, getattr(ExperimentConfig, key)) for key in _SCENARIO_KEYS)
-    for key, v in vars(args).items():  # the flags that set a config field, where given
-        if key in _FIELD_TYPES and v is not None:
-            values[key] = given[key] = v
-    # a figure's defaults yield to the file and the flags, not to --paper-defaults
+    if args.paper_defaults:  # the file's scenario keys go back to the defaults the class holds
+        given = {key: getattr(ExperimentConfig, key) if key in _SCENARIO_KEYS else v for key, v in given.items()}
+    flags = {key: v for key, v in vars(args).items() if key in _FIELD_TYPES and v is not None}
     fig = FIGURES.get(args.command)
-    values.update((k, v) for k, v in (fig.defaults if fig else {}).items() if k not in given)
-    try:
-        return ExperimentConfig(**values)
+    try:  # a figure's defaults yield to the file and the flags, not to --paper-defaults
+        return ExperimentConfig(**{**(fig.defaults if fig else {}), **given, **flags})
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
 

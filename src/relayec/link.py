@@ -78,13 +78,13 @@ class SystemParams:
         return Geometry(self.d_a, self.alpha)
 
     def eps_for(self, node: str) -> float:
-        return self.eps_a if node == "A" else self.eps_b
+        return _oriented(self.eps_a, self.eps_b, node)[0]
 
     def theta_for(self, node: str) -> float:
-        return self.theta_a if node == "A" else self.theta_b
+        return _oriented(self.theta_a, self.theta_b, node)[0]
 
     def gamma_t_for(self, node: str) -> float:
-        return self.gamma_t_a if node == "A" else self.gamma_t_b
+        return _oriented(self.gamma_t_a, self.gamma_t_b, node)[0]
 
     def with_(self, **changes) -> "SystemParams":
         return replace(self, **changes)

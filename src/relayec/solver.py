@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import enum
 import math
-import time
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -52,7 +51,6 @@ DOMINANCE_TOL = 1e-6
 class SolveMethod(enum.Enum):
     EXACT = "exact"
     APPROXIMATE = "approx"
-    EPSILON_CONSTRAINT = "epsilon"
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,6 @@ class SolveReport:
     silenced: Optional[str]
     iterations: int
     objective_evals: int
-    wall_time: float  # seconds of this solve, or of its lockstep batch, shared by the batch's reports
     degenerate: bool = False
 
 
@@ -79,7 +76,6 @@ class ParetoFrontier:
     """
 
     points: tuple[EcPoint, ...]
-    method: SolveMethod
     parameter_grid: tuple[float, ...]
     infeasible: tuple[float, ...] = ()
 
@@ -88,7 +84,6 @@ class ParetoFrontier:
 class _SearchResult:
     x: float
     iterations: int
-    evals: int
     probes: list[tuple[float, float]]
 
 
@@ -150,7 +145,7 @@ def _line_search(lo: float, hi: float, tol: float, x0: Optional[float]):
                 d = a + INVPHI * (b - a)
                 fd = yield from _probe(probes, d)
 
-    return _SearchResult(x=0.5 * (a + b), iterations=max(iters, 1), evals=len(probes), probes=probes)
+    return _SearchResult(x=0.5 * (a + b), iterations=max(iters, 1), probes=probes)
 
 
 def _lockstep(searches: Sequence, evaluate: Callable[[list, list], list]) -> list:
@@ -211,9 +206,7 @@ def _solve_weights(
 ) -> list[SolveReport]:
     """Solve the exact or the approximate problem at every weight, with all
     line searches in lockstep over one batched evaluator.  Each weight's
-    probes, iterations and evaluations are those of a solve on its own; the
-    reports share the batch's wall time."""
-    t0 = time.perf_counter()
+    probes, iterations and evaluations are those of a solve on its own."""
     tol = line_search_tolerance(params)
     gains = samples.mean_gains()
     p_a, p_b = _single_node_optima(mode, gains, params)
@@ -241,12 +234,14 @@ def _solve_weights(
     grid = list(np.linspace(0.0, params.p_tot, 1024)) if valley else []
     refines = []
     for i in valley:
-        k = int(np.argmax(evaluate([i] * len(grid), grid)))
+        values = evaluate([i] * len(grid), grid)
+        results[i].probes.extend(zip(grid, values))  # the fallback's trail: search, grid, then refine
+        k = int(np.argmax(values))
         refines.append(_line_search(grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], tol, None))
     for i, refine in zip(valley, _lockstep(refines, lambda rows, xs: evaluate([valley[r] for r in rows], xs))):
         first = results[i]
         results[i] = replace(
-            refine, iterations=first.iterations + refine.iterations + 1, evals=first.evals + len(grid) + refine.evals
+            refine, iterations=first.iterations + refine.iterations + 1, probes=first.probes + refine.probes
         )
 
     # One full-sample pass at the returned relay powers gives the capacities
@@ -254,10 +249,9 @@ def _solve_weights(
     reports = []
     for res, (r_ea, r_eb) in zip(results, capacities([res.x for res in results])):
         alloc = PowerAllocation.from_relay_power(res.x, params.p_tot)
-        report = SolveReport(alloc, EcPoint(r_ea, r_eb, alloc), method, None, res.iterations, res.evals + 1, 0.0)
+        report = SolveReport(alloc, EcPoint(r_ea, r_eb, alloc), method, None, res.iterations, len(res.probes) + 1)
         reports.append(_threshold_policy(report, mode, params, gains, capacities) if apply_policy else report)
-    wall_time = time.perf_counter() - t0
-    return [replace(report, wall_time=wall_time) for report in reports]
+    return reports
 
 
 def solve_exact(
@@ -334,7 +328,7 @@ def _threshold_policy(
     return replace(report, alloc=alloc, ec=EcPoint(*caps, alloc), silenced="A" if keep == "B" else "B")
 
 
-def _frontier(points: Sequence[EcPoint], grid: Sequence[float], method: SolveMethod, infeasible=()) -> ParetoFrontier:
+def _frontier(points: Sequence[EcPoint], grid: Sequence[float], infeasible=()) -> ParetoFrontier:
     """The points no other beats by ``DOMINANCE_TOL`` in both capacities, with their grid values."""
     mask = [
         not any(q.r_ea >= p.r_ea + DOMINANCE_TOL and q.r_eb >= p.r_eb + DOMINANCE_TOL for q in points)
@@ -342,7 +336,6 @@ def _frontier(points: Sequence[EcPoint], grid: Sequence[float], method: SolveMet
     ]
     return ParetoFrontier(
         points=tuple(p for p, keep in zip(points, mask) if keep),
-        method=method,
         parameter_grid=tuple(float(x) for x, keep in zip(grid, mask) if keep),
         infeasible=infeasible,
     )
@@ -364,7 +357,7 @@ def pareto_weighted(
         if not 0.0 <= w <= 1.0:
             raise ValueError(f"weights must lie in [0, 1], got {w}")
     reports = _solve_weights(mode, samples, params, list(w_grid), method)
-    return _frontier([report.ec for report in reports], w_grid, method)
+    return _frontier([report.ec for report in reports], w_grid)
 
 
 def _crossing(x_bad: float, f_bad: float, x_good: float, f_good: float, tol: float):
@@ -466,4 +459,4 @@ def pareto_epsilon_constraint(
         for x, [r_ea], [r_eb] in zip(xs, ea_at(xs), eb_at(xs))
     ]
     infeasible = tuple(float(mu) for mu in mu_grid if mu > eb_peak)
-    return _frontier(points, feasible_mu, SolveMethod.EPSILON_CONSTRAINT, infeasible)
+    return _frontier(points, feasible_mu, infeasible)

@@ -100,6 +100,16 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_channels(Geometry(d_a=0.5, alpha=4.0), 0, seed=1)
 
+    @pytest.mark.parametrize("n, seed", [(100.7, 1), (100.0, 1), (100, 1.5), (100, "1"), ("100", 1)])
+    def test_non_integer_count_or_seed_rejected(self, n, seed):
+        with pytest.raises(ValueError, match="integers"):
+            sample_channels(Geometry(d_a=0.5, alpha=4.0), n, seed)
+
+    def test_numpy_integer_count_and_seed_accepted(self):
+        g = Geometry(d_a=0.5, alpha=4.0)
+        s = sample_channels(g, np.int64(100), np.uint32(42))
+        assert np.array_equal(s.h_a, sample_channels(g, 100, 42).h_a)
+
     @pytest.mark.parametrize("n", (1, 17, _BLOCK + 3))
     @pytest.mark.parametrize("geom", (Geometry(d_a=0.3, alpha=4.0), Geometry(d_a=0.65, alpha=2.7)))
     def test_stream_pinned(self, n, geom):

@@ -101,10 +101,17 @@ class TestConfig:
             f.name: f.default for f in fields(SystemParams)
         }
 
-    @pytest.mark.parametrize("kwargs", [{"w": 2.0}, {"d_a": 1.5}, {"sweep_param": "bogus"}])
+    @pytest.mark.parametrize("kwargs", [
+        {"w": 2.0}, {"d_a": 1.5}, {"sweep_param": "bogus"},
+        # a run_sweep on these once failed late, inside numpy
+        {"samples": 150.5}, {"samples": 150.0}, {"seed": 1.5}, {"seed": "7"},
+    ])
     def test_rejected_when_built(self, kwargs):
         with pytest.raises(ConfigError):
             ExperimentConfig(**kwargs)
+
+    def test_numpy_integer_samples_and_seed_accepted(self):
+        assert ExperimentConfig(samples=np.int64(150), seed=np.uint8(7)) == ExperimentConfig(samples=150, seed=7)
 
     def test_file_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -128,6 +128,13 @@ class TestSystemParams:
         assert p.eps_for("A") == 1e-3 and p.eps_for("B") == 1e-5
         assert p.theta_for("B") == 0.01
 
+    @pytest.mark.parametrize("accessor", ["eps_for", "theta_for", "gamma_t_for"])
+    @pytest.mark.parametrize("node", ["a", "b", "C", ""])
+    def test_per_node_accessors_reject_other_names(self, accessor, node):
+        # any name but "A" once read node B's value
+        with pytest.raises(ValueError, match="node"):
+            getattr(SystemParams.reference(), accessor)(node)
+
     def test_domain(self):
         nan, inf = float("nan"), float("inf")
         for bad in (
