@@ -123,8 +123,8 @@ _KINDS = {  # field type -> parser of a config value or flag; a tuple is comma-s
 def load_config(path) -> dict:
     """The config fields a file of ``key = value`` lines sets, each parsed as its field's type."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -468,7 +468,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             rows, columns = fig8_rows(cfg), PARETO_COLUMNS
         else:
             rows, columns = bench_rows(cfg, args.repeats), BENCH_FILE_COLUMNS
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:  # a ValueError: inputs the model cannot evaluate
         print(f"relayec: config error: {exc}", file=sys.stderr)
         return 1
     out = cfg.out or f"{args.command}.{cfg.format}"

@@ -234,8 +234,10 @@ def optimal_relay_power_fd(
     leading-coefficient sign change of the quadratic (possible for
     H_A < H_B at large omega) cancels out of this form altogether.
     """
-    if h_a <= 0.0 or h_b <= 0.0:
-        raise ValueError(f"gains must be positive, got H_A={h_a}, H_B={h_b}")
+    if not (0.0 < h_a < math.inf and 0.0 < h_b < math.inf):
+        raise ValueError(f"gains must be positive and finite, got H_A={h_a}, H_B={h_b}")
+    if not 0.0 < p_tot < math.inf:
+        raise ValueError(f"p_tot must be positive and finite, got {p_tot}")
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must lie in [0, 1], got {omega}")
     hr, _ = _oriented(h_a, h_b, node)

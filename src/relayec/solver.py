@@ -16,9 +16,7 @@ O(n) prune per solve keeps the few samples that can attain the minimum
 over that span.  Frontier tracing runs either solver across a
 weight grid, or maximizes one node's capacity under a floor on the other,
 with one peak search per node and a bracketing secant per floor crossing
-that can bind: the crossing on node A's side of node B's peak, and the
-far one only for a floor whose interval may be narrower than the
-tolerance.
+that can bind: the one on node A's side of node B's peak.
 
 Every search is a generator that yields its next probe and takes the value
 back, so many run in lockstep: each round gathers every unfinished search's
@@ -402,13 +400,11 @@ def pareto_epsilon_constraint(
     Node B's capacity is single-peaked in relay power, so each feasible
     floor cuts out one interval [left, right] around B's peak x_peak.  Node
     A's capacity is single-peaked too, so its maximum inside is its peak
-    x_A, searched once per call, clipped into the interval; an interval
-    no wider than ``tol`` gives x_peak instead.  The clip reads only the
-    end on x_A's side of x_peak, so only that end is located by
-    :func:`_crossing` from the peak outwards, every floor's in lockstep.
-    The interval can be that narrow only when this end lies within ``tol``
-    of x_peak, so the far end is located for those floors alone.  Floors
-    above the attainable maximum are skipped and reported.
+    x_A, searched once per call, clipped into the interval.  The clip reads
+    only the end on x_A's side of x_peak, so only that end is located, by
+    :func:`_crossing` from the budget's end on that side towards the peak,
+    every floor's in lockstep.  Floors above the attainable maximum are
+    skipped and reported.
     """
     if len(mu_grid) == 0:
         raise ValueError("mu_grid must not be empty")
@@ -423,36 +419,19 @@ def pareto_epsilon_constraint(
         return _lockstep([search], lambda _, xs: [ec for [ec] in capacities(xs)])[0].x
 
     eb_at, _ = _kernel(mode, samples, params, ("B",))
-    x_peak = peak(eb_at, p_b)
-    # B's value at its peak and at both budget ends, in one pass
-    [eb_peak], *at_ends = eb_at([x_peak, 0.0, params.p_tot])
-    ends = [(x, eb) for x, [eb] in zip((0.0, params.p_tot), at_ends)]
-    feasible_mu = [float(mu) for mu in mu_grid if mu <= eb_peak]
-
-    def edges(mus: list, end: int) -> list:
-        """Each floor's interval end on the side of ``ends[end]``: that end
-        where it meets the floor, else a crossing, all run side by side."""
-        x_end, eb_end = ends[end]
-        below = [mu for mu in mus if eb_end < mu]
-        found = iter(_lockstep(
-            [_crossing(x_end, eb_end - mu, x_peak, eb_peak - mu, tol) for mu in below],
-            lambda rows, xs: [eb - below[r] for r, [eb] in zip(rows, eb_at(xs))],
-        ))
-        return [x_end if eb_end >= mu else next(found) for mu in mus]
-
     ea_at, _ = _kernel(mode, samples, params, ("A",))
-    xs = []
-    if feasible_mu:
-        x_a = peak(ea_at, p_a)
-        near = int(x_a >= x_peak)  # the side of x_peak the clip reads
-        # a far end left at the budget's end clips x_A alike
-        bounds = [[0.0, params.p_tot] for _ in feasible_mu]
-        for b, x in zip(bounds, edges(feasible_mu, near)):
-            b[near] = x
-        narrow = [i for i, b in enumerate(bounds) if abs(b[near] - x_peak) <= tol]
-        for i, x in zip(narrow, edges([feasible_mu[i] for i in narrow], 1 - near)):
-            bounds[i][1 - near] = x
-        xs = [x_peak if right - left <= tol else min(max(x_a, left), right) for left, right in bounds]
+    x_peak = peak(eb_at, p_b)
+    x_a = peak(ea_at, p_a)
+    clip, x_end = (min, params.p_tot) if x_a >= x_peak else (max, 0.0)  # x_A's side of x_peak
+    # B's value at its peak and at the budget's end on that side, in one pass
+    [eb_peak], [eb_end] = eb_at([x_peak, x_end])
+    feasible_mu = [float(mu) for mu in mu_grid if mu <= eb_peak]
+    below = [mu for mu in feasible_mu if eb_end < mu]  # the floors whose interval ends short of x_end
+    found = iter(_lockstep(
+        [_crossing(x_end, eb_end - mu, x_peak, eb_peak - mu, tol) for mu in below],
+        lambda rows, xs: [eb - below[r] for r, [eb] in zip(rows, eb_at(xs))],
+    ))
+    xs = [clip(x_a, x_end if eb_end >= mu else next(found)) for mu in feasible_mu]
 
     points = [
         EcPoint(r_ea=r_ea, r_eb=r_eb, alloc=PowerAllocation.from_relay_power(x, params.p_tot))

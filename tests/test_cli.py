@@ -414,6 +414,32 @@ class TestMain:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_undecodable_config_exit_code(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_bytes(b"seed = 3\n\xff\xfe\x80 = 1\n")
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(cfgfile)
+        out = tmp_path / "x.csv"
+        assert main(["fig4", "--config", str(cfgfile), "--out", str(out)]) == 1
+        assert "config error: cannot read config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unevaluable_config_exit_code(self, tmp_path):
+        # a valid budget whose capacities overflow: the error is reported, not
+        # raised (a subprocess, so numpy's overflow warnings stay warnings)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("p_tot = 1e300\nsamples = 40\n")
+        out = tmp_path / "x.csv"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-m", "relayec.cli", "fig4", "--config", str(cfgfile), "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 1
+        assert "relayec: config error: effective capacities must be finite" in run.stderr
+        assert "Traceback" not in run.stderr and not out.exists()
+
     def test_import_leaves_scipy_unloaded(self):
         # scipy.special alone would add ~0.35 s to every command's start-up, and
         # concurrent.futures ~9 ms: the kernel's pool starts on its first multi-block pass

@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -279,6 +280,19 @@ class TestOptimalRelayPowerHd:
     def test_domain(self):
         with pytest.raises(ValueError):
             optimal_relay_power_hd(0.0, 1.0, 10.0, "A")
+
+    @pytest.mark.parametrize(
+        "h_a, h_b, p_tot",
+        [(math.nan, 2.0, 10.0), (math.inf, 2.0, 10.0), (1.0, math.nan, 10.0), (1.0, -2.0, 10.0),
+         (1.0, 2.0, math.inf), (1.0, 2.0, math.nan), (1.0, 2.0, -5.0), (1.0, 2.0, 0.0)],
+    )
+    def test_rejects_gain_or_budget_outside_positive_reals(self, h_a, h_b, p_tot):
+        # each returned NaN or a negative relay power before the checks
+        for node in ("A", "B"):
+            with pytest.raises(ValueError):
+                optimal_relay_power_hd(h_a, h_b, p_tot, node)
+            with pytest.raises(ValueError):
+                optimal_relay_power_fd(h_a, h_b, p_tot, 0.05, node)
 
 
 class TestOptimalRelayPowerFd:

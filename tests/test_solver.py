@@ -467,11 +467,11 @@ class TestOneKernel:
         front = pareto_epsilon_constraint(RelayMode.FD, s, p, floors)
         # node A: its peak search's one-row probes, then the final pass; none at x_A in between
         assert [len(xs) for xs in calls["A"]] == [1] * 28 + [len(floors)]
-        assert len(calls["B"]) == 41
+        assert len(calls["B"]) == 40
         trace = FloorTrace(RelayMode.FD, s, p)
-        # B's peak value and both budget ends come from one 3-row call
-        assert [xs for xs in calls["B"] if len(xs) == 3] == [[trace.x_peak, 0.0, p.p_tot]]
-        assert [xs for xs in calls["B"] if 0.0 in xs or p.p_tot in xs] == [[trace.x_peak, 0.0, p.p_tot]]
+        # B's peak value and the budget end on x_A's side come from one 2-row call
+        assert trace.x_a < trace.x_peak
+        assert [xs for xs in calls["B"] if 0.0 in xs or p.p_tot in xs] == [[trace.x_peak, 0.0]]
         assert (front.points, front.parameter_grid, front.infeasible) == trace.run(floors)
 
 
@@ -715,7 +715,7 @@ class TestParetoEpsilonConstraint:
         front = pareto_epsilon_constraint(mode, s, p, mus)
         assert (front.points, front.parameter_grid, front.infeasible) == trace.run(mus)
 
-    def test_far_crossing_only_for_narrow_floors(self, monkeypatch):
+    def test_crossings_only_from_x_a_side(self, monkeypatch):
         calls = []
 
         def counted(x_bad, f_bad, x_good, f_good, tol):
@@ -735,9 +735,19 @@ class TestParetoEpsilonConstraint:
             assert len(calls) == len(mus)
             assert all((x_bad < trace.x_peak) == near_side for x_bad, _ in calls)
             calls.clear()
-            pareto_epsilon_constraint(RelayMode.FD, s, p, mus + [trace.eb_peak])
-            assert len(calls) == len(mus) + 2
-            assert sorted(x_bad for x_bad, f_good in calls if f_good == 0.0) == [0.0, p.p_tot]
+            pareto_epsilon_constraint(RelayMode.FD, s, p, mus + [trace.eb_peak])  # an interval within tol
+            assert len(calls) == len(mus) + 1
+            assert all((x_bad < trace.x_peak) == near_side for x_bad, _ in calls)
+
+    def test_floor_at_b_peak_clips_x_a(self):
+        # FD, d_a = 0.8: the floor is B's peak value, so the interval's end on
+        # x_A's side lies within tol of B's peak; clipping x_A to it gains on A
+        s = sample_channels(Geometry(0.8, 4.0), 1000, 220102778)
+        p = SystemParams.reference(d_a=0.8, omega=0.07614339312754691)
+        only_b = solve_exact(RelayMode.FD, s, p.with_(w=0.0), apply_policy=False)
+        [point] = pareto_epsilon_constraint(RelayMode.FD, s, p, (only_b.ec.r_eb,)).points
+        assert point.r_eb >= only_b.ec.r_eb
+        assert point.r_ea > only_b.ec.r_ea
 
 
 class FloorTrace:
@@ -769,7 +779,7 @@ class FloorTrace:
         xs = []
         for mu in feasible:
             left, right = self.end(0.0, mu), self.end(p_tot, mu)
-            xs.append(self.x_peak if right - left <= self.tol else min(max(self.x_a, left), right))
+            xs.append(min(max(self.x_a, left), right))
         points = [ec_point(self.mode, self.samples, self.params, PowerAllocation.from_relay_power(x, p_tot)) for x in xs]
         front = _frontier(points, feasible)
         return front.points, front.parameter_grid, tuple(float(mu) for mu in mus if mu > self.eb_peak)
