@@ -25,14 +25,18 @@ block can overflow or underflow the total (Blanchard, Higham & Higham 2021,
 Every pass forms the node-symmetric SINR pieces num and common once per
 row, as (k, samples) arrays shared by the nodes, and finishes each node's
 SINR from them in its slice of a (nodes, k, samples) array.  When the
-samples fit one block (n <= ``_BLOCK``), every pass reuses it, so H_A H_B
-and H_A + H_B are computed once.  For a one-row two-node pass the rate's
-per-node scale is then laid out as a full (nodes, n) array; a pass of k > 1
-rows takes every per-node constant as a (nodes, 1, 1) column instead,
-because spreading the full row to (nodes, 1, n) is slow under any buffer.
-Above one block the products would be n-sized arrays held per kernel, so
-each pass forms them in its block buffer instead, and memory stays one
-block buffer per worker.
+samples fit one block (n <= ``_BLOCK``), every pass reuses it, so H_A H_B,
+H_A + H_B and the nodes' own gains are formed once, each as a full
+(nodes, n) array.  A one-row pass there, each exact line-search probe, is
+one straight run of ufuncs: with the rate's per-node scale and the exponent
+scale -c theta also full rows, only z - z_b broadcasts, a (nodes, 1) column
+through numpy 2's buffered path (below), which slows an (n,) row spread
+over the nodes as well.  It writes z_b and s_b into arrays the kernel owns
+and allocates no array memory.  A pass of k > 1 rows takes every per-node
+constant as a (nodes, 1, 1) column instead, because spreading the full row
+to (nodes, 1, n) is slow under any buffer.  Above one block these would be
+n-sized arrays held per kernel, so each pass forms the products in its
+block buffer, and memory stays one block buffer per worker.
 
 A pass over two or more blocks splits them between ``_WORKERS`` workers,
 min(2, the CPUs this process may run on, the blocks): the calling thread
@@ -188,12 +192,12 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
     per-sample exponential or logarithm beyond the rate itself.
 
     A pass covers k rows and a block of samples in one (nodes, k, samples)
-    array (no node axis for one node, no k axis for one row) of a buffer
-    sized at the largest chunk served; k times the block's samples stays
-    within ``_BLOCK``.  The module docstring gives the buffer scope, the
-    per-node columns and the workers.  A p or w whose length is not p_r's
-    raises ValueError.  One closure must not be called from two threads at
-    once: its workers' buffers serve one call at a time."""
+    array (no k axis for one row) of a buffer sized at the largest chunk
+    served; k times the block's samples stays within ``_BLOCK``.  The module
+    docstring gives the buffer scope, the per-node columns and the workers.
+    A p or w whose length is not p_r's raises ValueError.  One closure must
+    not be called from two threads at once: its workers' buffers serve one
+    call at a time."""
     omega, m_cu, c = _mode_terms(mode, params)
     bonus = rate_blocklength_bonus(m_cu)
     terms = [_node_terms(samples, params, node, m_cu, c) for node in nodes]
@@ -203,43 +207,36 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
     h_a, h_b = samples.h_a, samples.h_b
     hoisted = n <= _BLOCK  # one block, reused by every pass (module docstring)
     neg_c_theta, qscale = [-t.c_theta for t in terms], [t.qscale for t in terms]
-    if lanes == 1:
-        neg_c_theta, qscale = neg_c_theta[0], qscale[0]
-    else:  # per-node columns
-        neg_c_theta, qscale = np.array(neg_c_theta)[:, None], np.array(qscale)[:, None]
-    if not hoisted:  # per block: the gains, whose product and sum each pass forms
+    if hoisted:  # the one-row pass's full rows: gain product, sum and own gains, rate and exponent scales
+        hh, hs, gains = np.array([h_a * h_b] * lanes), np.array([h_a + h_b] * lanes), np.array([t.hr for t in terms])
+        q_row, scale_row = (np.repeat(np.array(v)[:, None], n, 1) for v in (qscale, neg_c_theta))
+        blocks = [(hh[0], hs[0], gains)]
+    else:  # per block: the gains, whose product and sum each pass forms
         blocks = [
             (h_a[lo : lo + width], h_b[lo : lo + width], [t.hr[lo : lo + width] for t in terms])
             for lo in range(0, n, width)
         ]
-    else:
-        blocks = [(h_a * h_b, h_a + h_b, [t.hr for t in terms])]
-    # a one-row two-node pass over the one block takes qscale as a full (nodes, n) row
-    q_row = np.repeat(qscale, width, 1) if hoisted and lanes > 1 else qscale
-    node_axis = slice(None) if lanes > 1 else 0
+    if lanes == 1:
+        neg_c_theta, qscale = neg_c_theta[0], qscale[0]
+    else:  # per-node columns
+        neg_c_theta, qscale = np.array(neg_c_theta)[:, None], np.array(qscale)[:, None]
     # per worker: num and common, then the SINRs; the rate's scratch reuses num
     # and common.  One allocation: a buffer per worker, freed after every
     # ec_point, made glibc trim and refault its heap (480 page faults a call).
     bufs = np.empty((min(_WORKERS, len(blocks)), 2 + lanes, 1, width))
     cached = [{} for _ in range(len(bufs))]  # per worker: rows per pass -> per block: gains, views, constants
+    row_top, row_sums = np.empty((2, lanes))  # per node: the one-row pass's z_b and s_b
 
     def views(worker: int, k: int) -> list:
         """Per block: its gains, views of the worker's buffer and per-node constants for k rows."""
         buf = bufs[worker, :, :k] if k > 1 else bufs[worker, :, 0]
         # only one block serves k > 1 rows; two nodes' constants are then (nodes, 1, 1) columns
-        if k > 1 and lanes > 1:
-            q, scale = qscale[:, None], neg_c_theta[:, None]
-        else:
-            q, scale = q_row, neg_c_theta
+        q, scale = (qscale[:, None], neg_c_theta[:, None]) if k > 1 and lanes > 1 else (qscale, neg_c_theta)
         cached[worker][k] = []
         for g1, g2, hrs in blocks:
             sub = buf[..., : g1.shape[-1]]
-            # one num and common row per relay power, shared by the nodes
-            num, common, gamma = sub[0], sub[1], sub[2:] if lanes > 1 else sub[2]
-            tmp = sub[:lanes] if lanes > 1 else sub[0]
-            # each node's SINR from the shared pieces, one node at a time
-            steps = list(zip(hrs, gamma if lanes > 1 else [gamma]))
-            cached[worker][k].append((g1, g2, num, common, steps, gamma, tmp, q, scale))
+            # one num and common row per relay power, shared by the nodes, then their SINRs
+            cached[worker][k].append((g1, g2, hrs, sub[0], sub[1], sub[2:], sub[:lanes], q, scale))
         return cached[worker][k]
 
     def run(worker: int, bs, k: int, at, chunk, reduce):
@@ -249,11 +246,11 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
         per-node exponent scale -c theta shaped to the rate array z."""
         vs = cached[worker].get(k) or views(worker, k)
         for b in bs:
-            hh, hs, num, common, steps, gamma, tmp, q, scale = vs[b]
+            hh, hs, hrs, num, common, gamma, tmp, q, scale = vs[b]
             if not hoisted:  # the block's gain product and sum
                 hh, hs = np.multiply(hh, hs, num), np.add(hh, hs, common)
             _, _, relay = _sinr_shared(chunk, hh, hs, num, common)
-            for h_r, out in steps:
+            for h_r, out in zip(hrs, gamma):  # one node at a time
                 _sinr_node(num, common, relay, h_r, out)
             reduce(b, at, _rate_into(gamma, q, bonus, tmp), scale)
 
@@ -264,8 +261,6 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
         workers: the caller takes blocks 0, 2, ..., the pool thread 1, 3, ..., each
         in its own buffer, and the call returns once both are done."""
         nonlocal bufs
-        if p is not None and len(p) != len(p_r):
-            raise ValueError(f"got {len(p)} entries for {len(p_r)} relay powers")
         if bufs.shape[2] < min(len(p_r), rows):  # grow the buffer to the largest chunk (one worker)
             bufs = np.empty((1, 2 + lanes, min(len(p_r), rows), width))
             cached[0].clear()
@@ -291,16 +286,32 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
             if old is not None:
                 np.setbufsize(old)
 
+    def row(p_r: float, p) -> np.ndarray:
+        """The one-row pass over the one block: every node's rate at p_r and node
+        power p (None: the budget left, split), a (nodes, n) array in the buffer.
+        Its SINR takes the ops of ``_sinr_shared`` and ``_sinr_node`` on full rows."""
+        gamma, tmp = bufs[0, 2:, 0], bufs[0, :lanes, 0]
+        pp, p_leak, leaks, relay = _sinr_coefficients(p_r, (params.p_tot - p_r) / 2.0 if p is None else p, omega)
+        np.add(np.multiply(hs, p_leak, tmp), leaks, tmp)  # common
+        np.add(np.multiply(gains, relay, gamma), tmp, gamma)  # relay h_r + common
+        np.divide(np.multiply(hh, pp, tmp), gamma, gamma)  # num / (relay h_r + common)
+        return _rate_into(gamma, q_row, bonus, tmp)
+
+    def fold(z, scale, top, sums):
+        """z = r scale in place, then per node (and row) z_b into ``top`` and s_b into ``sums``."""
+        np.multiply(z, scale, z)
+        np.maximum.reduce(z, -1, None, top)
+        np.exp(np.subtract(z, top[..., None], z), z)
+        np.add.reduce(z, -1, None, sums)
+
     def capacities(p_r, p=None) -> list:
+        if p is not None and len(p) != len(p_r):
+            raise ValueError(f"got {len(p)} entries for {len(p_r)} relay powers")
+        if hoisted and len(p_r) == 1:  # the one-row pass, into the kernel's z_b and s_b
+            fold(row(p_r[0], None if p is None else p[0]), scale_row, row_top, row_sums)
+            return [[t.capacity(peak, total, n) for t, peak, total in zip(terms, row_top.tolist(), row_sums.tolist())]]
         kept = np.empty((2, len(blocks), lanes, len(p_r)))  # per block, node and row: z_b and s_b
-
-        def reduce(b, at, z, neg_c_theta):
-            np.multiply(z, neg_c_theta, z)
-            z_max = np.maximum.reduce(z, -1, None, kept[0, b, node_axis, at, ...])
-            np.exp(np.subtract(z, z_max[..., None], z), z)
-            np.add.reduce(z, -1, None, kept[1, b, node_axis, at, ...])
-
-        passes(p_r, p, reduce)
+        passes(p_r, p, lambda b, at, z, scale: fold(z, scale, kept[0, b, :, at, ...], kept[1, b, :, at, ...]))
         top, sums = kept[:, 0].tolist()  # per node and row
         if len(blocks) > 1:  # Z = max_b z_b and sum_b s_b exp(z_b - Z)
             for i, r in np.ndindex(lanes, len(p_r)):
@@ -312,21 +323,23 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
             for z_row, s_row in zip(zip(*top), zip(*sums))
         ]
 
+    def weigh(rs, w_a, low=None):
+        """The least w r_A + (1 - w) r_B over the samples, into ``low`` when given."""
+        r_a, r_b = rs
+        np.multiply(r_a, w_a, r_a)
+        np.multiply(r_b, 1.0 - w_a, r_b)
+        return np.minimum.reduce(np.add(r_a, r_b, r_a), -1, None, low)
+
     def taus(p_r, w) -> list:
         if len(w) != len(p_r):
             raise ValueError(f"got {len(w)} entries for {len(p_r)} relay powers")
-        low = np.empty((len(blocks), len(p_r)))  # per block and row: the minimum
-
-        def reduce(b, at, rs, _):
-            r_a, r_b = rs
-            w_a = w[at] if isinstance(at, int) else np.array(w[at])[:, None]
-            np.multiply(r_a, w_a, r_a)
-            np.multiply(r_b, 1.0 - w_a, r_b)
-            np.minimum.reduce(np.add(r_a, r_b, r_a), -1, None, low[b, at, ...])
-
-        passes(p_r, None, reduce)
         # max of -0.5 (w r_a + (1-w) r_b); the half scale is a power of two,
         # so scaling the minimum gives the exact same value.
+        if hoisted and len(p_r) == 1:
+            return [-0.5 * float(weigh(row(p_r[0], None), w[0]))]
+        # per block and row: the minimum; the weights as a column
+        low, w_col = np.empty((len(blocks), len(p_r))), np.array(w, float)[:, None]
+        passes(p_r, None, lambda b, at, rs, _: weigh(rs, w_col[at], low[b, at, ...]))
         return (-0.5 * (np.minimum.reduce(low, 0) if len(blocks) > 1 else low[0])).tolist()
 
     return capacities, taus

@@ -578,6 +578,22 @@ def test_batched_memory_stays_in_blocks():
     assert peak < 4 * 2**20
 
 
+def test_one_row_calls_allocate_no_sample_row():
+    # a one-row pass on one block works in the kernel's buffer and writes
+    # into arrays the kernel owns, so 200 calls hold less than one row of samples
+    n = 2**15
+    capacities, taus = _kernel(RelayMode.FD, reference_samples(n, seed=3), SystemParams.reference(), ("A", "B"))
+    tracemalloc.start()
+    try:
+        for x in np.linspace(1.0, 999.0, 100).tolist():
+            capacities([x])
+            taus([x], [0.3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n
+
+
 class TestMultiRowBuffer:
     """A call of three or more rows runs under the ufunc buffer
     ``_BUFSIZE``.  numpy 2 sends a broadcast whose inner dimension is below
@@ -653,8 +669,9 @@ def property_samples(n):
     return reference_samples(n, seed=17, d_a=0.3)
 
 
-# one hoisted block with several rows per pass, and two blocks walked per pass
-@pytest.mark.parametrize("n", (1, 2, 150, 1000, _BLOCK + 1))
+# one hoisted block with several rows per pass, the largest one block (a row per
+# pass), and two blocks walked per pass
+@pytest.mark.parametrize("n", (1, 2, 150, 1000, _BLOCK, _BLOCK + 1))
 @settings(max_examples=20)
 @given(
     mode=st.sampled_from(list(RelayMode)),
@@ -664,8 +681,8 @@ def property_samples(n):
     explicit=st.booleans(),
 )
 def test_rows_and_nodes_agree_bit_for_bit(n, mode, rows, explicit):
-    """Each row of a K-row call is the one-row call, and a one-node call is
-    that node's entry of the two-node call, bit for bit."""
+    """Each row of a K-row call is the one-row call, and a one-node call, of
+    K rows or of one, is that node's entry of the two-node call, bit for bit."""
     # every per-node constant differs between the nodes, so a mixed-up node shows
     p = SystemParams.reference(d_a=0.3, omega=0.05, eps_a=1e-3, eps_b=1e-6, theta_a=2e-3, theta_b=5e-4)
     s = property_samples(n)
@@ -678,7 +695,9 @@ def test_rows_and_nodes_agree_bit_for_bit(n, mode, rows, explicit):
     assert both == [capacities([x], y)[0] for x, y in zip(xs, one)]
     assert taus(xs, ws) == [taus([x], [w])[0] for x, w in zip(xs, ws)]
     for i, node in enumerate(("A", "B")):
-        assert [row[0] for row in _kernel(mode, s, p, (node,))[0](xs, node_p)] == [row[i] for row in both]
+        single = _kernel(mode, s, p, (node,))[0]
+        assert [row[0] for row in single(xs, node_p)] == [row[i] for row in both]
+        assert [single([x], y)[0][0] for x, y in zip(xs, one)] == [row[i] for row in both]
 
 
 @functools.lru_cache(maxsize=None)
