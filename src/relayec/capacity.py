@@ -152,6 +152,15 @@ def _node_terms(samples: ChannelSamples, params: SystemParams, node: str, m_cu: 
     return _NodeTerms(hr, rate_dispersion_scale(m_cu, eps), c * theta, params.m * theta, math.log1p(-eps), math.log(eps))
 
 
+def _end_capacities(mode: RelayMode, samples: ChannelSamples, params: SystemParams) -> list:
+    """Both nodes' capacities at p_r = 0 and at p_r = p_tot, where every SINR is 0
+    and every rate the blocklength bonus: the kernel's values there, bit for bit."""
+    _, m_cu, c = _mode_terms(mode, params)
+    bonus, n = rate_blocklength_bonus(m_cu), len(samples)
+    terms = [_node_terms(samples, params, node, m_cu, c) for node in NODES]
+    return [t.capacity(bonus * -t.c_theta, n, n) for t in terms]
+
+
 def _submit(fn, *args):
     """``fn(*args)`` as a future on the kernel's pool thread, under a copy of
     the caller's context; the thread starts on first use."""

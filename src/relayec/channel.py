@@ -47,6 +47,10 @@ class Geometry:
             raise ValueError(f"d_a must lie in (0, 1), got {self.d_a}")
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        try:  # the path gains d ** -alpha; math.pow raises on overflow, where a numpy float returns inf
+            math.pow(self.d_a, -self.alpha), math.pow(self.d_b, -self.alpha)
+        except OverflowError:
+            raise ValueError(f"path gain d ** -alpha overflows at d_a={self.d_a}, alpha={self.alpha}") from None
 
     @property
     def d_b(self) -> float:

@@ -2,10 +2,12 @@
 
 All optimization here is one-dimensional: pick the relay power p_r in
 (0, p_tot), the node power follows from the budget.  The exact solver
-maximizes the Monte-Carlo weighted capacity by golden-section search.  At
-the reference budgets it is mostly single-peaked in p_r, but not below
-about 0.3 W, where the rate at SINR 0 is positive, nor always in FD, where
-a weighted sum can peak twice (two strict xfails in test_solver).  The
+maximizes the Monte-Carlo weighted capacity by golden-section search, then
+compares its answer with the budget's ends, where every SINR is 0 and the
+rate is the positive blocklength bonus: every node capacity has a local
+maximum there, which below about 0.3 W can beat every interior point, and
+an end win reports p_r = 0.  In FD a weighted sum can also peak twice, and
+the search can stop on the lower peak (a strict xfail in test_solver).  The
 approximate solver minimizes the cheap min-max surrogate instead, but
 only between the two closed-form single-node optima: outside that
 interval the surrogate develops spurious minima (worst-sample artifacts
@@ -33,9 +35,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
-from .capacity import EcPoint, _kernel, _surrogate
+from .capacity import EcPoint, _end_capacities, _kernel, _surrogate
 from .channel import ChannelSamples
 from .link import NODES, PowerAllocation, RelayMode, SystemParams, _mode_terms, optimal_relay_power_fd, sinr_fd
 
@@ -164,20 +164,6 @@ def _lockstep(searches: Sequence, evaluate: Callable[[list, list], list]) -> lis
     return results
 
 
-def _has_interior_valley(probes: Sequence[tuple[float, float]]) -> bool:
-    """True when the probe set shows a fall-then-rise pattern, which a
-    single-peaked function cannot produce.  Repeated abscissas keep their
-    first value in sorted order; steps within 1e-12 of the largest value
-    count as flat."""
-    pts = sorted(probes)
-    fs = [f for (x_prev, _), (x, f) in zip([(-math.inf, 0.0)] + pts, pts) if x > x_prev]
-    if len(fs) < 3:
-        return False
-    cut = 1e-12 * (max(map(abs, fs)) or 1.0)
-    rises = [b > a for a, b in zip(fs, fs[1:]) if abs(b - a) > cut]
-    return any(after and not before for before, after in zip(rises, rises[1:]))
-
-
 def _single_node_optima(mode: RelayMode, gains: tuple[float, float], params: SystemParams) -> tuple[float, float]:
     # The FD closed form at omega = 0 is the HD one bit for bit.
     omega = _mode_terms(mode, params)[0]
@@ -227,27 +213,16 @@ def _solve_weights(
         searches = [_line_search(lo, hi, tol, None) for _ in weights]
     results = _lockstep(searches, evaluate)
 
-    # A probe trail that is not single-peaked falls back to a grid scan.
-    valley = [i for i, res in enumerate(results) if exact and _has_interior_valley(res.probes)]
-    grid = list(np.linspace(0.0, params.p_tot, 1024)) if valley else []
-    refines = []
-    for i in valley:
-        values = evaluate([i] * len(grid), grid)
-        results[i].probes.extend(zip(grid, values))  # the fallback's trail: search, grid, then refine
-        k = int(np.argmax(values))
-        refines.append(_line_search(grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], tol, None))
-    for i, refine in zip(valley, _lockstep(refines, lambda rows, xs: evaluate([valley[r] for r in rows], xs))):
-        first = results[i]
-        results[i] = replace(
-            refine, iterations=first.iterations + refine.iterations + 1, probes=first.probes + refine.probes
-        )
-
     # One full-sample pass at the returned relay powers gives the capacities
-    # reported, for either method: its evaluation is each solve's last.
+    # reported, each solve's last evaluation.  An exact answer gives way to the
+    # budget's ends when their closed form, not an evaluation, weighs strictly more.
+    ends = _end_capacities(mode, samples, params) if exact else None
     reports = []
-    for res, (r_ea, r_eb) in zip(results, capacities([res.x for res in results])):
-        alloc = PowerAllocation.from_relay_power(res.x, params.p_tot)
-        report = SolveReport(alloc, EcPoint(r_ea, r_eb, alloc), method, None, res.iterations, len(res.probes) + 1)
+    for w, res, caps in zip(weights, results, capacities([res.x for res in results])):
+        end_win = exact and w * ends[0] + (1.0 - w) * ends[1] > w * caps[0] + (1.0 - w) * caps[1]
+        x, caps = (0.0, ends) if end_win else (res.x, caps)
+        alloc = PowerAllocation.from_relay_power(x, params.p_tot)
+        report = SolveReport(alloc, EcPoint(*caps, alloc), method, None, res.iterations, len(res.probes) + 1)
         reports.append(_threshold_policy(report, mode, params, gains, capacities) if apply_policy else report)
     return reports
 
@@ -262,13 +237,11 @@ def solve_exact(
     """Maximize the exact Monte-Carlo weighted capacity over relay power.
 
     The search runs over the whole open budget interval, warm started at
-    the closed-form blend.  Single-peakedness of the objective, which fails
-    at budgets below about 0.3 W (module docstring), is verified on the
-    probe trail afterwards; a violation (possible in FD, where per-node
-    capacities are single-peaked but their weighted sum is not proven to
-    be) triggers a 1024-point grid scan with local refinement.
-    The capacities reported come from one full-sample pass at the relay
-    power the search returns, the solve's last objective evaluation.
+    the closed-form blend; in FD it can stop on the lower of two peaks.  Its
+    answer gives way to the budget's ends when they weigh strictly more, and
+    an end win reports p_r = 0 (module docstring).  The capacities reported
+    come from one full-sample pass at the relay power the search returns, the
+    solve's last objective evaluation, or from the ends' closed form.
     """
     return _solve_weights(mode, samples, params, (params.w,), SolveMethod.EXACT, apply_policy=apply_policy)[0]
 

@@ -700,6 +700,23 @@ def test_rows_and_nodes_agree_bit_for_bit(n, mode, rows, explicit):
         assert [single([x], y)[0][0] for x, y in zip(xs, one)] == [row[i] for row in both]
 
 
+# one block (one- and three-row calls) and three blocks walked per pass
+@pytest.mark.parametrize("n", (1, 1000, 2 * _BLOCK + 17))
+@pytest.mark.parametrize("mode", list(RelayMode))
+def test_end_capacities_are_the_kernels_bit_for_bit(n, mode):
+    """At p_r = 0 and at p_r = p_tot every SINR is 0, and the closed form is
+    the kernel's capacity there, for either node alone and for both."""
+    p = SystemParams.reference(d_a=0.3, omega=0.05, eps_a=1e-3, eps_b=1e-6, theta_a=2e-3, theta_b=5e-4)
+    s = property_samples(n)
+    ends = capacity._end_capacities(mode, s, p)
+    assert ends[0] != ends[1]  # a mixed-up node shows
+    for nodes in (("A", "B"), ("A",), ("B",)):
+        capacities = _kernel(mode, s, p, nodes)[0]
+        want = [ends["AB".index(node)] for node in nodes]
+        for xs in ([0.0], [p.p_tot], [0.0, p.p_tot, 0.0]):
+            assert capacities(xs) == [want] * len(xs)
+
+
 @functools.lru_cache(maxsize=None)
 def prune_samples(n):
     return reference_samples(n, seed=23, d_a=0.4)

@@ -43,6 +43,13 @@ class TestGeometry:
             with pytest.raises(ValueError):
                 Geometry(d_a=0.5, alpha=bad)
 
+    @pytest.mark.parametrize("d_a", [0.05, 0.95, np.float64(0.05)])
+    def test_rejects_overflowing_path_gain(self, d_a):
+        # 20 ** 300 overflows a float: sample_channels raised OverflowError
+        with pytest.raises(ValueError, match="path gain d \\*\\* -alpha overflows"):
+            Geometry(d_a=d_a, alpha=300.0)
+        assert Geometry(d_a=d_a, alpha=236.0).alpha == 236.0  # 20 ** 236 ~ 1e307 is finite
+
     @pytest.mark.parametrize("name", ["d_a", "alpha"])
     def test_rejects_non_scalar(self, name):
         # a one-element array passed the range checks and a solve ran on it;

@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -70,10 +71,13 @@ class TestConfig:
     def test_round_trip_property(self, tmp_path_factory, data):
         positive = st.floats(0.0, 1e300, exclude_min=True)
         fraction = st.floats(0.0, 1.0)
+        d_a = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        # alpha up to just below where the path gain d ** -alpha overflows, which Geometry rejects
+        top = (1.0 - 1e-12) * math.log(sys.float_info.max) / -math.log(min(d_a, 1.0 - d_a))
         cfg = data.draw(st.builds(
             ExperimentConfig,
-            m=st.integers(1, 10**6), p_tot=positive, alpha=positive,
-            d_a=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), omega=fraction,
+            m=st.integers(1, 10**6), p_tot=positive, alpha=st.floats(0.0, top, exclude_min=True),
+            d_a=st.just(d_a), omega=fraction,
             eps_a=st.floats(0.0, 0.5, exclude_min=True), eps_b=st.floats(0.0, 0.5, exclude_min=True),
             theta_a=positive, theta_b=positive, gamma_t_a=st.floats(0.0, 1e300), gamma_t_b=st.floats(0.0, 1e300),
             w=fraction, hd_rate_blocklength=st.sampled_from(["m", "m/2"]),
@@ -422,6 +426,15 @@ class TestMain:
         out = tmp_path / "x.csv"
         assert main(["fig4", "--config", str(cfgfile), "--out", str(out)]) == 1
         assert "config error: cannot read config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_path_gain_exit_code(self, tmp_path, capsys):
+        # the placement's path gain overflows: once an OverflowError traceback from sample_channels
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("d_a = 0.05\nalpha = 300\n")
+        out = tmp_path / "x.csv"
+        assert main(["fig4", "--config", str(cfgfile), "--out", str(out)]) == 1
+        assert "relayec: config error: path gain d ** -alpha overflows" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unevaluable_config_exit_code(self, tmp_path):
