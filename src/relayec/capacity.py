@@ -16,7 +16,7 @@ would bias the estimate.
 Every estimate runs through one blocked kernel over K >= 1 relay powers.
 Per block of samples and chunk of relay powers it computes every requested
 node's SINR, rate and exponent z = -r c theta in place in one buffer, with
-a node axis for two nodes, and keeps each row's block maximum z_b and
+a node axis for one node as for two, and keeps each row's block maximum z_b and
 shifted sum s_b = sum exp(z - z_b) in arrays.  The blocks combine by
 ln mean exp(z) = Z + ln(sum_b s_b exp(z_b - Z) / n), Z = max_b z_b, so no
 block can overflow or underflow the total (Blanchard, Higham & Higham 2021,
@@ -24,19 +24,21 @@ block can overflow or underflow the total (Blanchard, Higham & Higham 2021,
 
 Every pass forms the node-symmetric SINR pieces num and common once per
 row, as (k, samples) arrays shared by the nodes, and finishes each node's
-SINR from them in its slice of a (nodes, k, samples) array.  When the
-samples fit one block (n <= ``_BLOCK``), every pass reuses it, so H_A H_B,
-H_A + H_B and the nodes' own gains are formed once, each as a full
-(nodes, n) array.  A one-row pass there, each exact line-search probe, is
-one straight run of ufuncs: with the rate's per-node scale and the exponent
-scale -c theta also full rows, only z - z_b broadcasts, a (nodes, 1) column
-through numpy 2's buffered path (below), which slows an (n,) row spread
-over the nodes as well.  It writes z_b and s_b into arrays the kernel owns
-and allocates no array memory.  A pass of k > 1 rows takes every per-node
-constant as a (nodes, 1, 1) column instead, because spreading the full row
-to (nodes, 1, n) is slow under any buffer.  Above one block these would be
-n-sized arrays held per kernel, so each pass forms the products in its
-block buffer, and memory stays one block buffer per worker.
+SINR from them in its slice of a (nodes, k, samples) array, in views it
+takes afresh of its worker's buffer.  When the samples fit one block
+(n <= ``_BLOCK``), every pass reuses it, so H_A H_B, H_A + H_B and the
+nodes' own gains are formed once, each as a full (nodes, n) array.  A
+one-row pass there, each exact line-search probe, is one straight run of
+ufuncs: with the rate's per-node scale and the exponent scale -c theta also
+full rows, only z - z_b broadcasts, a (nodes, 1) column through numpy 2's
+buffered path (below), which slows an (n,) row spread over the nodes as
+well.  It writes z_b and s_b into arrays the kernel owns and allocates no
+array memory.  Every other pass takes each per-node constant as a column,
+(nodes, 1), or (nodes, 1, 1) for k > 1 rows, for one node as for two,
+because spreading the full row to (nodes, 1, n) is slow under any buffer.
+Above one block the full rows would be n-sized arrays held per kernel, so
+each pass forms the products in its block buffer, and memory stays one
+block buffer per worker.
 
 A pass over two or more blocks splits them between ``_WORKERS`` workers,
 min(2, the CPUs this process may run on, the blocks): the calling thread
@@ -201,12 +203,12 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
     per-sample exponential or logarithm beyond the rate itself.
 
     A pass covers k rows and a block of samples in one (nodes, k, samples)
-    array (no k axis for one row) of a buffer sized at the largest chunk
-    served; k times the block's samples stays within ``_BLOCK``.  The module
-    docstring gives the buffer scope, the per-node columns and the workers.
-    A p or w whose length is not p_r's raises ValueError.  One closure must
-    not be called from two threads at once: its workers' buffers serve one
-    call at a time."""
+    view (no k axis for one row), taken afresh, of its worker's buffer, sized
+    at the largest chunk served; k times the block's samples stays within
+    ``_BLOCK``.  The module docstring gives the buffer scope, the per-node
+    columns (for any node count) and the workers.  A p or w whose length is
+    not p_r's raises ValueError.  One closure must not be called from two
+    threads at once: its workers' buffers serve one call at a time."""
     omega, m_cu, c = _mode_terms(mode, params)
     bonus = rate_blocklength_bonus(m_cu)
     terms = [_node_terms(samples, params, node, m_cu, c) for node in nodes]
@@ -215,53 +217,42 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
     rows = _BLOCK // width
     h_a, h_b = samples.h_a, samples.h_b
     hoisted = n <= _BLOCK  # one block, reused by every pass (module docstring)
-    neg_c_theta, qscale = [-t.c_theta for t in terms], [t.qscale for t in terms]
+    # per-node (nodes, 1) columns: the rate's scale and the exponent scale -c theta
+    qscale, neg_c_theta = np.array([[t.qscale] for t in terms]), np.array([[-t.c_theta] for t in terms])
     if hoisted:  # the one-row pass's full rows: gain product, sum and own gains, rate and exponent scales
         hh, hs, gains = np.array([h_a * h_b] * lanes), np.array([h_a + h_b] * lanes), np.array([t.hr for t in terms])
-        q_row, scale_row = (np.repeat(np.array(v)[:, None], n, 1) for v in (qscale, neg_c_theta))
+        q_row, scale_row = np.repeat(qscale, n, 1), np.repeat(neg_c_theta, n, 1)
         blocks = [(hh[0], hs[0], gains)]
     else:  # per block: the gains, whose product and sum each pass forms
         blocks = [
             (h_a[lo : lo + width], h_b[lo : lo + width], [t.hr[lo : lo + width] for t in terms])
             for lo in range(0, n, width)
         ]
-    if lanes == 1:
-        neg_c_theta, qscale = neg_c_theta[0], qscale[0]
-    else:  # per-node columns
-        neg_c_theta, qscale = np.array(neg_c_theta)[:, None], np.array(qscale)[:, None]
     # per worker: num and common, then the SINRs; the rate's scratch reuses num
     # and common.  One allocation: a buffer per worker, freed after every
     # ec_point, made glibc trim and refault its heap (480 page faults a call).
     bufs = np.empty((min(_WORKERS, len(blocks)), 2 + lanes, 1, width))
-    cached = [{} for _ in range(len(bufs))]  # per worker: rows per pass -> per block: gains, views, constants
     row_top, row_sums = np.empty((2, lanes))  # per node: the one-row pass's z_b and s_b
 
-    def views(worker: int, k: int) -> list:
-        """Per block: its gains, views of the worker's buffer and per-node constants for k rows."""
-        buf = bufs[worker, :, :k] if k > 1 else bufs[worker, :, 0]
-        # only one block serves k > 1 rows; two nodes' constants are then (nodes, 1, 1) columns
-        q, scale = (qscale[:, None], neg_c_theta[:, None]) if k > 1 and lanes > 1 else (qscale, neg_c_theta)
-        cached[worker][k] = []
-        for g1, g2, hrs in blocks:
-            sub = buf[..., : g1.shape[-1]]
-            # one num and common row per relay power, shared by the nodes, then their SINRs
-            cached[worker][k].append((g1, g2, hrs, sub[0], sub[1], sub[2:], sub[:lanes], q, scale))
-        return cached[worker][k]
-
     def run(worker: int, bs, k: int, at, chunk, reduce):
-        """Blocks ``bs`` of one chunk's pass in the worker's buffer: the SINR
-        pieces and rate, handed to ``reduce(b, at, z, scale)`` with the
+        """Blocks ``bs`` of one chunk's pass in views of the worker's buffer: the
+        SINR pieces and rate, handed to ``reduce(b, at, z, scale)`` with the
         chunk's rows ``at`` (an index, or a slice when k > 1) and the
         per-node exponent scale -c theta shaped to the rate array z."""
-        vs = cached[worker].get(k) or views(worker, k)
+        buf = bufs[worker, :, :k] if k > 1 else bufs[worker, :, 0]
+        # only one block serves k > 1 rows; its per-node constants are then (nodes, 1, 1) columns
+        q, scale = (qscale[:, None], neg_c_theta[:, None]) if k > 1 else (qscale, neg_c_theta)
         for b in bs:
-            hh, hs, hrs, num, common, gamma, tmp, q, scale = vs[b]
+            hh, hs, hrs = blocks[b]
+            sub = buf[..., : hh.shape[-1]]
+            # one num and common row per relay power, shared by the nodes, then their SINRs
+            num, common, gamma = sub[0], sub[1], sub[2:]
             if not hoisted:  # the block's gain product and sum
                 hh, hs = np.multiply(hh, hs, num), np.add(hh, hs, common)
             _, _, relay = _sinr_shared(chunk, hh, hs, num, common)
             for h_r, out in zip(hrs, gamma):  # one node at a time
                 _sinr_node(num, common, relay, h_r, out)
-            reduce(b, at, _rate_into(gamma, q, bonus, tmp), scale)
+            reduce(b, at, _rate_into(gamma, q, bonus, sub[:lanes]), scale)
 
     def passes(p_r, p, reduce):
         """Every chunk of rows over every block, by ``run``, at node powers p of
@@ -272,16 +263,15 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
         nonlocal bufs
         if bufs.shape[2] < min(len(p_r), rows):  # grow the buffer to the largest chunk (one worker)
             bufs = np.empty((1, 2 + lanes, min(len(p_r), rows), width))
-            cached[0].clear()
         old = np.setbufsize(_BUFSIZE) if len(p_r) >= 3 else None  # not np.errstate: numpy < 2 does not restore it there
         try:
             for r0 in range(0, len(p_r), rows):
-                xs = p_r[r0 : r0 + rows]
-                ys = [(params.p_tot - x) / 2.0 for x in xs] if p is None else p[r0 : r0 + rows]
-                # the SINR factors per row, as columns; one row's stay floats, on numpy's scalar paths
-                coef = [_sinr_coefficients(x, y, omega) for x, y in zip(xs, ys)]
-                k = len(coef)
-                at, chunk = (r0, coef[0]) if k == 1 else (slice(r0, r0 + k), np.array(coef).T[:, :, None])
+                xs = np.array(p_r[r0 : r0 + rows], float)[:, None]  # the chunk's powers, and SINR factors, as columns
+                ys = (params.p_tot - xs) / 2.0 if p is None else np.array(p[r0 : r0 + rows], float)[:, None]
+                k = len(xs)
+                if k == 1:  # one row's SINR factors stay floats, on numpy's scalar paths
+                    xs, ys = float(xs[0, 0]), float(ys[0, 0])
+                at, chunk = (r0 if k == 1 else slice(r0, r0 + k)), _sinr_coefficients(xs, ys, omega)
                 if len(bufs) == 1:
                     run(0, range(len(blocks)), k, at, chunk, reduce)
                     continue
@@ -327,10 +317,8 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
                 z_bs, s_bs = kept[:, :, i, r].tolist()
                 top[i][r] = z_max = max(z_bs)
                 sums[i][r] = math.fsum([s * math.exp(z_b - z_max) for z_b, s in zip(z_bs, s_bs)])
-        return [
-            [t.capacity(peak, total, n) for t, peak, total in zip(terms, z_row, s_row)]
-            for z_row, s_row in zip(zip(*top), zip(*sums))
-        ]
+        per_node = [[t.capacity(peak, total, n) for peak, total in zip(zs, ss)] for t, zs, ss in zip(terms, top, sums)]
+        return [list(caps) for caps in zip(*per_node)]
 
     def weigh(rs, w_a, low=None):
         """The least w r_A + (1 - w) r_B over the samples, into ``low`` when given."""

@@ -47,10 +47,12 @@ class Geometry:
             raise ValueError(f"d_a must lie in (0, 1), got {self.d_a}")
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        try:  # the path gains d ** -alpha; math.pow raises on overflow, where a numpy float returns inf
-            math.pow(self.d_a, -self.alpha), math.pow(self.d_b, -self.alpha)
+        try:  # math.pow raises on overflow, where a numpy float returns inf
+            top = 36.74 * math.pow(min(self.d_a, self.d_b), -self.alpha)
         except OverflowError:
-            raise ValueError(f"path gain d ** -alpha overflows at d_a={self.d_a}, alpha={self.alpha}") from None
+            top = math.inf
+        if top == math.inf:  # the largest draw: 36.74 > 53 ln 2 bounds -log1p(-u) for float64 u < 1
+            raise ValueError(f"path gain d ** -alpha overflows a draw at d_a={self.d_a}, alpha={self.alpha}")
 
     @property
     def d_b(self) -> float:
@@ -76,9 +78,9 @@ class ChannelSamples:
             raise ValueError("h_a and h_b must be 1-D arrays of equal length")
         if self.h_a.size == 0:
             raise ValueError("sample set must not be empty")
-        # min and max propagate NaN, which fails both tests, and allocate nothing
-        if not all(h.min() > 0.0 and h.max() < math.inf for h in (self.h_a, self.h_b)):
-            raise ValueError("channel power gains must be strictly positive and finite")
+        # min and max propagate NaN, which fails both tests, and allocate nothing; n max bounds the gain sum
+        if not all(h.min() > 0.0 and float(h.max()) * h.size < math.inf for h in (self.h_a, self.h_b)):
+            raise ValueError("channel power gains must be strictly positive and finite, and so must their sums")
 
     def __len__(self) -> int:
         return int(self.h_a.size)

@@ -149,10 +149,11 @@ def _oriented(h_a, h_b, node: str):
 
 def _sinr_coefficients(p_r: float, p: float, omega: float) -> tuple:
     """Power factors (p p_r, p leak, leak_r leak, relay) of the FD SINR at one
-    allocation, with leak = p omega + 1 and leak_r = p_r omega + 1.  The SINR
-    at the node with own gain h_r is num / (relay h_r + common), with num =
-    p p_r H_A H_B, common = p leak (H_A + H_B) + leak_r leak and relay = p_r
-    leak_r; every factor holding omega is exactly 1 at omega = 0."""
+    allocation, or elementwise over arrays, with leak = p omega + 1 and leak_r
+    = p_r omega + 1.  The SINR at the node with own gain h_r is num / (relay
+    h_r + common), with num = p p_r H_A H_B, common = p leak (H_A + H_B) +
+    leak_r leak and relay = p_r leak_r; every factor holding omega is exactly
+    1 at omega = 0."""
     leak_r = p_r * omega + 1.0
     leak = p * omega + 1.0
     return p * p_r, p * leak, leak_r * leak, p_r * leak_r

@@ -682,7 +682,9 @@ def property_samples(n):
 )
 def test_rows_and_nodes_agree_bit_for_bit(n, mode, rows, explicit):
     """Each row of a K-row call is the one-row call, and a one-node call, of
-    K rows or of one, is that node's entry of the two-node call, bit for bit."""
+    K rows or of one, is that node's entry of the two-node call, bit for bit.
+    One closure serves its K rows, then the first two, then the K rows again,
+    each pass in its own views of the closure's buffer."""
     # every per-node constant differs between the nodes, so a mixed-up node shows
     p = SystemParams.reference(d_a=0.3, omega=0.05, eps_a=1e-3, eps_b=1e-6, theta_a=2e-3, theta_b=5e-4)
     s = property_samples(n)
@@ -691,9 +693,12 @@ def test_rows_and_nodes_agree_bit_for_bit(n, mode, rows, explicit):
     ws = [w for _, _, w in rows]
     one = [None] * len(rows) if node_p is None else [[y] for y in node_p]
     capacities, taus = _kernel(mode, s, p, ("A", "B"))
-    both = capacities(xs, node_p)
-    assert both == [capacities([x], y)[0] for x, y in zip(xs, one)]
-    assert taus(xs, ws) == [taus([x], [w])[0] for x, w in zip(xs, ws)]
+    calls = [capacities(xs, node_p), capacities(xs[:2], node_p and node_p[:2]), capacities(xs, node_p)]
+    tau_calls = [taus(xs, ws), taus(xs[:2], ws[:2]), taus(xs, ws)]
+    both = [capacities([x], y)[0] for x, y in zip(xs, one)]
+    assert calls == [both, both[:2], both]
+    tau_rows = [taus([x], [w])[0] for x, w in zip(xs, ws)]
+    assert tau_calls == [tau_rows, tau_rows[:2], tau_rows]
     for i, node in enumerate(("A", "B")):
         single = _kernel(mode, s, p, (node,))[0]
         assert [row[0] for row in single(xs, node_p)] == [row[i] for row in both]

@@ -1,3 +1,5 @@
+import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -45,10 +47,12 @@ class TestGeometry:
 
     @pytest.mark.parametrize("d_a", [0.05, 0.95, np.float64(0.05)])
     def test_rejects_overflowing_path_gain(self, d_a):
-        # 20 ** 300 overflows a float: sample_channels raised OverflowError
-        with pytest.raises(ValueError, match="path gain d \\*\\* -alpha overflows"):
-            Geometry(d_a=d_a, alpha=300.0)
-        assert Geometry(d_a=d_a, alpha=236.0).alpha == 236.0  # 20 ** 236 ~ 1e307 is finite
+        # 20 ** 300 overflows a float: sample_channels raised OverflowError.  20 ** 236 ~ 1e307
+        # is finite, but a draw of up to 36.74 times it is not: mean_gains overflowed
+        for alpha in (300.0, 236.0):
+            with pytest.raises(ValueError, match="path gain d \\*\\* -alpha overflows"):
+                Geometry(d_a=d_a, alpha=alpha)
+        assert Geometry(d_a=d_a, alpha=235.0).alpha == 235.0  # 36.74 * 20 ** 235 ~ 2e307
 
     @pytest.mark.parametrize("name", ["d_a", "alpha"])
     def test_rejects_non_scalar(self, name):
@@ -171,6 +175,15 @@ class TestSampleValidation:
         with pytest.raises(ValueError):
             ChannelSamples(h_a=np.array([]), h_b=np.array([]))
 
+    def test_rejects_overflowing_gain_sum(self):
+        # each gain is finite, but their sum, which mean_gains forms, is not
+        big = np.full(3, sys.float_info.max / 2.5)
+        with pytest.raises(ValueError, match="their sums"):
+            ChannelSamples(h_a=big, h_b=np.ones(3))
+        with pytest.raises(ValueError, match="their sums"):
+            ChannelSamples(h_a=np.ones(3), h_b=big)
+        assert ChannelSamples(h_a=big[:2], h_b=np.ones(2)).mean_gains() == (big[0], 1.0)
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             ChannelSamples(h_a=np.ones(3), h_b=np.ones(4))
@@ -216,6 +229,10 @@ class TestCsv:
     def test_round_trip_property(self, tmp_path_factory, pairs):
         # every positive finite double, subnormals included, comes back as itself
         h_a, h_b = (list(column) for column in zip(*pairs))
+        if max(h_a + h_b) * len(pairs) == math.inf:  # no sample set: its gain sum can overflow
+            with pytest.raises(ValueError, match="their sums"):
+                ChannelSamples(np.array(h_a), np.array(h_b))
+            return
         path = tmp_path_factory.getbasetemp() / "round_trip.csv"
         save_csv(ChannelSamples(np.array(h_a), np.array(h_b)), path)
         back = load_csv(path)

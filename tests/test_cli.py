@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -72,8 +73,8 @@ class TestConfig:
         positive = st.floats(0.0, 1e300, exclude_min=True)
         fraction = st.floats(0.0, 1.0)
         d_a = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-        # alpha up to just below where the path gain d ** -alpha overflows, which Geometry rejects
-        top = (1.0 - 1e-12) * math.log(sys.float_info.max) / -math.log(min(d_a, 1.0 - d_a))
+        # alpha up to just below where the largest draw, 36.74 d ** -alpha, overflows, which Geometry rejects
+        top = (1.0 - 1e-12) * math.log(sys.float_info.max / 36.74) / -math.log(min(d_a, 1.0 - d_a))
         cfg = data.draw(st.builds(
             ExperimentConfig,
             m=st.integers(1, 10**6), p_tot=positive, alpha=st.floats(0.0, top, exclude_min=True),
@@ -434,6 +435,18 @@ class TestMain:
         cfgfile.write_text("d_a = 0.05\nalpha = 300\n")
         out = tmp_path / "x.csv"
         assert main(["fig4", "--config", str(cfgfile), "--out", str(out)]) == 1
+        assert "relayec: config error: path gain d ** -alpha overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_draw_exit_code(self, tmp_path, capsys):
+        # the path gain 20 ** 236 ~ 1e307 is finite, but its draws overflowed mean_gains' sum: a
+        # RuntimeWarning, which this suite's filter raises, or else exit 1 with "H_A=inf"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("d_a = 0.05\nalpha = 236\nsamples = 1000\n")
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as caught:  # keeps the suite's filters
+            assert main(["fig4", "--config", str(cfgfile), "--out", str(out)]) == 1
+        assert caught == []
         assert "relayec: config error: path gain d ** -alpha overflows" in capsys.readouterr().err
         assert not out.exists()
 
