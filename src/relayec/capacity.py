@@ -67,11 +67,13 @@ and restoring it costs more than it saves there.
 ``effective_capacity`` and ``ec_point`` are its one-row case; the
 solvers evaluate many line-search probes per call.  Neither a node's
 capacity nor a row's depends on what else is evaluated with it, so every
-entry point agrees bit for bit.  The approximate solver's surrogate is
-evaluated by ``_surrogate`` instead: one O(n) prune per solve keeps the
-few samples that can attain its minimum over the search span, and each
-probe evaluates only those, in Python floats or, above
-``_FLOAT_SAMPLES`` of them, by this kernel over them.
+entry point agrees bit for bit.  A kernel also hands out the scenario
+terms it is built from and each node's capacity at the budget's ends, which
+the exact solver's end check reads.  The approximate solver's surrogate is
+evaluated by ``_surrogate`` from those terms instead: one O(n) prune per
+solve keeps the few samples that can attain its minimum over the search
+span, and each probe evaluates only those, in Python floats or, above
+``_FLOAT_SAMPLES`` of them, by a kernel over them.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ import os
 import threading
 from dataclasses import dataclass
 from itertools import cycle
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -97,6 +99,7 @@ from .link import (
     _oriented,
     _sinr_coefficients,
     _sinr_node,
+    _sinr_pieces_fit,
     _sinr_shared,
     optimal_relay_power_fd,
 )
@@ -109,7 +112,7 @@ _pool_lock = threading.Lock()
 # ufunc buffer, in elements, of calls of three or more rows (see the module docstring)
 _BUFSIZE = 1024
 # kept samples up to which the surrogate is evaluated in Python floats, not by the kernel
-_FLOAT_SAMPLES = 24
+_FLOAT_SAMPLES = 16
 # relative rounding margin of the surrogate prune's threshold
 _MARGIN = 1e-9
 
@@ -147,22 +150,6 @@ class _NodeTerms(NamedTuple):
         return -(max(a, b) + math.log1p(math.exp(-abs(a - b)))) / self.m_theta
 
 
-def _node_terms(samples: ChannelSamples, params: SystemParams, node: str, m_cu: float, c: float) -> _NodeTerms:
-    """One node's terms at rate blocklength ``m_cu`` and exponent blocklength ``c``."""
-    hr, _ = _oriented(samples.h_a, samples.h_b, node)
-    eps, theta = params.eps_for(node), params.theta_for(node)
-    return _NodeTerms(hr, rate_dispersion_scale(m_cu, eps), c * theta, params.m * theta, math.log1p(-eps), math.log(eps))
-
-
-def _end_capacities(mode: RelayMode, samples: ChannelSamples, params: SystemParams) -> list:
-    """Both nodes' capacities at p_r = 0 and at p_r = p_tot, where every SINR is 0
-    and every rate the blocklength bonus: the kernel's values there, bit for bit."""
-    _, m_cu, c = _mode_terms(mode, params)
-    bonus, n = rate_blocklength_bonus(m_cu), len(samples)
-    terms = [_node_terms(samples, params, node, m_cu, c) for node in NODES]
-    return [t.capacity(bonus * -t.c_theta, n, n) for t in terms]
-
-
 def _submit(fn, *args):
     """``fn(*args)`` as a future on the kernel's pool thread, under a copy of
     the caller's context; the thread starts on first use."""
@@ -186,7 +173,18 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, nodes):
+class _Kernel(NamedTuple):
+    """The blocked kernel's two closures and the scenario terms they run on."""
+
+    capacities: Callable
+    taus: Callable
+    ends: list  # per node: the capacity at p_r = 0 and at p_r = p_tot, bit for bit the closures'
+    omega: float
+    qscales: list  # per node: the rate's dispersion scale
+    bonus: float
+
+
+def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, nodes) -> _Kernel:
     """The blocked kernel for ``nodes`` as two closures over K >= 1 relay
     powers p_r: ``capacities(p_r, p)``, per row a list of per-node capacities
     at node powers p (by default the budget left after p_r, split), and, for
@@ -211,11 +209,14 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
     threads at once: its workers' buffers serve one call at a time."""
     omega, m_cu, c = _mode_terms(mode, params)
     bonus = rate_blocklength_bonus(m_cu)
-    terms = [_node_terms(samples, params, node, m_cu, c) for node in nodes]
+    h_a, h_b, terms = samples.h_a, samples.h_b, []
+    for node in nodes:  # rate blocklength m_cu, exponent blocklength c
+        eps, theta = params.eps_for(node), params.theta_for(node)
+        hr, q = _oriented(h_a, h_b, node)[0], rate_dispersion_scale(m_cu, eps)
+        terms.append(_NodeTerms(hr, q, c * theta, params.m * theta, math.log1p(-eps), math.log(eps)))
     n, lanes = len(samples), len(terms)
     width = min(n, _BLOCK)
     rows = _BLOCK // width
-    h_a, h_b = samples.h_a, samples.h_b
     hoisted = n <= _BLOCK  # one block, reused by every pass (module docstring)
     # per-node (nodes, 1) columns: the rate's scale and the exponent scale -c theta
     qscale, neg_c_theta = np.array([[t.qscale] for t in terms]), np.array([[-t.c_theta] for t in terms])
@@ -339,7 +340,8 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
         passes(p_r, None, lambda b, at, rs, _: weigh(rs, w_col[at], low[b, at, ...]))
         return (-0.5 * (np.minimum.reduce(low, 0) if len(blocks) > 1 else low[0])).tolist()
 
-    return capacities, taus
+    ends = [t.capacity(bonus * -t.c_theta, n, n) for t in terms]  # every SINR 0, every rate the bonus
+    return _Kernel(capacities, taus, ends, omega, [t.qscale for t in terms], bonus)
 
 
 def _sinr_floats(p_r: float, p_tot: float, omega: float, pts: list) -> list:
@@ -352,24 +354,23 @@ def _sinr_floats(p_r: float, p_tot: float, omega: float, pts: list) -> list:
     return us
 
 
-def _surrogate(mode: RelayMode, samples: ChannelSamples, params: SystemParams, weights, lo: float, hi: float):
-    """``taus(p_r, w)`` of :func:`_kernel`, bit for bit, for p_r in [lo, hi] and w
-    in ``weights``, over only the samples whose g_i = w r_A_i + (1-w) r_B_i
-    can be the least.  Per sample, each SINR is single-peaked in p_r, so on
-    [lo, hi] it runs from its smaller end value to its value at its clipped
-    closed-form peak, and the rate is quasiconvex in the SINR; that bounds
-    g_i below by L_i, and above by U_j for each weight's three samples of
-    least L_j.  A sample with L_i > min U_j plus a rounding margin is never
-    the least; a weight batch keeps the union.  Up to ``_FLOAT_SAMPLES``
-    kept samples are evaluated in Python floats, one ``np.log2`` call per
-    probe (+, -, *, / and sqrt round as numpy's), more by the kernel."""
-    (omega, m_cu, _), p_tot = _mode_terms(mode, params), params.p_tot
-    qs, bonus = [rate_dispersion_scale(m_cu, params.eps_for(node)) for node in NODES], rate_blocklength_bonus(m_cu)
+def _surrogate(mode: RelayMode, samples: ChannelSamples, params: SystemParams, weights, lo: float, hi: float, kernel):
+    """``taus(p_r, w)`` of the two-node ``kernel`` over ``samples``, bit for
+    bit and from its terms, for p_r in [lo, hi] and w in ``weights``, over
+    only the samples whose g_i = w r_A_i + (1-w) r_B_i can be the least.  Per
+    sample, each SINR is single-peaked in p_r, so on [lo, hi] it runs from its
+    smaller end value to its value at its clipped closed-form peak, and the
+    rate is quasiconvex in the SINR; that bounds g_i below by L_i, and above
+    by U_j for each weight's three samples of least L_j.  A sample with L_i >
+    min U_j plus a rounding margin is never the least; a weight batch keeps
+    the union.  Up to ``_FLOAT_SAMPLES`` kept samples are evaluated in Python
+    floats, one ``np.log2`` call per probe (+, -, *, / and sqrt round as
+    numpy's), more by a kernel over them."""
+    omega, qs, bonus, p_tot = kernel.omega, kernel.qscales, kernel.bonus, params.p_tot
     h_a, h_b, n = samples.h_a, samples.h_b, len(samples)
-    a_max, b_max = float(h_a.max()), float(h_b.max())
-    # above this bound an SINR piece may overflow; then no bound holds, and NaN propagates as the kernel's
-    if not (a_max * b_max + 2.0 * (a_max + b_max) + 1.0) * (p_tot + 1.0) ** 2 < 1e300:
-        return _kernel(mode, samples, params, NODES)[1]
+    # past this bound an SINR piece may overflow; then no bound holds, and NaN propagates as the kernel's
+    if not _sinr_pieces_fit(float(h_a.max()), float(h_b.max()), p_tot):
+        return kernel.taus
     r_low = np.empty((2, n))  # per node and sample: the least rate on [lo, hi]
     coefs = [_sinr_coefficients(x, (p_tot - x) / 2.0, omega) for x in (lo, hi)]
     # the rate falls in gamma until u sqrt(u^2 - 1) = q ln 2, u = 1 + gamma, and rises after
@@ -397,7 +398,7 @@ def _surrogate(mode: RelayMode, samples: ChannelSamples, params: SystemParams, w
         keep |= low <= top + _MARGIN * (1.0 + abs(top))
     kept = np.flatnonzero(keep)
     if len(kept) > _FLOAT_SAMPLES:
-        return _kernel(mode, ChannelSamples(h_a[kept], h_b[kept]), params, NODES)[1]
+        return _kernel(mode, ChannelSamples(h_a[kept], h_b[kept]), params, NODES).taus
     pts = [(a, b, a * b, a + b) for a, b in zip(h_a[kept].tolist(), h_b[kept].tolist())]
 
     def taus(p_r, w) -> list:
@@ -419,7 +420,7 @@ def effective_capacity(
     node: str,
 ) -> float:
     """Monte-Carlo effective capacity of one node, in bits per channel use."""
-    return _kernel(mode, samples, params, (node,))[0]([alloc.p_r], [alloc.p_node])[0][0]
+    return _kernel(mode, samples, params, (node,)).capacities([alloc.p_r], [alloc.p_node])[0][0]
 
 
 def ec_point(
@@ -428,5 +429,5 @@ def ec_point(
     params: SystemParams,
     alloc: PowerAllocation,
 ) -> EcPoint:
-    [(r_ea, r_eb)] = _kernel(mode, samples, params, NODES)[0]([alloc.p_r], [alloc.p_node])
+    [(r_ea, r_eb)] = _kernel(mode, samples, params, NODES).capacities([alloc.p_r], [alloc.p_node])
     return EcPoint(r_ea=r_ea, r_eb=r_eb, alloc=alloc)

@@ -48,15 +48,20 @@ class Geometry:
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         try:  # math.pow raises on overflow, where a numpy float returns inf
-            top = 36.74 * math.pow(min(self.d_a, self.d_b), -self.alpha)
+            top = max(self.top_draws)
         except OverflowError:
             top = math.inf
-        if top == math.inf:  # the largest draw: 36.74 > 53 ln 2 bounds -log1p(-u) for float64 u < 1
+        if top == math.inf:
             raise ValueError(f"path gain d ** -alpha overflows a draw at d_a={self.d_a}, alpha={self.alpha}")
 
     @property
     def d_b(self) -> float:
         return 1.0 - self.d_a
+
+    @property
+    def top_draws(self) -> tuple[float, float]:
+        """Each link's largest gain draw: 36.74 > 53 ln 2 bounds -log1p(-u) for float64 u < 1."""
+        return 36.74 * math.pow(self.d_a, -self.alpha), 36.74 * math.pow(self.d_b, -self.alpha)
 
 
 @dataclass(frozen=True)

@@ -52,11 +52,13 @@ class SystemParams:
 
     def __post_init__(self):
         _require_real(self, _NUMBER_FIELDS)
-        Geometry(self.d_a, self.alpha)  # rejects a bad d_a or alpha with its own message
+        geom = Geometry(self.d_a, self.alpha)  # rejects a bad d_a or alpha with its own message
         if not (self.m >= 1 and float(self.m).is_integer()):  # False for NaN; inf is no integer
             raise ValueError(f"m must be a positive integer, got {self.m}")
         if not 0.0 < self.p_tot < math.inf:
             raise ValueError(f"p_tot must be positive and finite, got {self.p_tot}")
+        if not _sinr_pieces_fit(*geom.top_draws, self.p_tot):
+            raise ValueError(f"p_tot={self.p_tot} can overflow an SINR at the placement's largest gain draws")
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
         for name in ("eps_a", "eps_b"):
@@ -136,6 +138,14 @@ def _mode_terms(mode: RelayMode, params: SystemParams) -> tuple:
         m_cu = params.m / 2.0 if params.hd_rate_blocklength == "m/2" else float(params.m)
         return 0.0, m_cu, params.m / 2.0
     raise ValueError(f"mode must be RelayMode.HD or RelayMode.FD, got {mode!r}")
+
+
+def _sinr_pieces_fit(g_a: float, g_b: float, p_tot: float) -> bool:
+    """Whether every SINR piece under budget p_tot stays below 1e300 at gains
+    up to g_a and g_b: num, common and relay h_r (:func:`_sinr_coefficients`)
+    are each at most (g_a g_b + 2 (g_a + g_b) + 1)(p_tot + 1)^2, formed
+    without ``**``, which raises on overflow; an overflowing bound fails."""
+    return (g_a * g_b + 2.0 * (g_a + g_b) + 1.0) * (p_tot + 1.0) * (p_tot + 1.0) < 1e300
 
 
 def _oriented(h_a, h_b, node: str):

@@ -1,21 +1,21 @@
 """Scalar power-allocation solvers over the relay-power axis.
 
-All optimization here is one-dimensional: pick the relay power p_r in
-(0, p_tot), the node power follows from the budget.  The exact solver
-maximizes the Monte-Carlo weighted capacity by golden-section search, then
-compares its answer with the budget's ends, where every SINR is 0 and the
-rate is the positive blocklength bonus: every node capacity has a local
-maximum there, which below about 0.3 W can beat every interior point, and
-an end win reports p_r = 0.  In FD a weighted sum can also peak twice, and
-the search can stop on the lower peak (a strict xfail in test_solver).  The
-approximate solver minimizes the cheap min-max surrogate instead, but
-only between the two closed-form single-node optima: outside that
-interval the surrogate develops spurious minima (worst-sample artifacts
-and a funnel where every SNR collapses to zero yet the blocklength term
-keeps the rate positive), so the search is deliberately local around the
-closed-form warm start.  A surrogate probe costs O(kept samples): one
-O(n) prune per solve keeps the few samples that can attain the minimum
-over that span.  Frontier tracing runs either solver across a
+All optimization here is one-dimensional: pick the relay power p_r in (0,
+p_tot), the node power follows from the budget.  The exact solver maximizes
+the Monte-Carlo weighted capacity by golden-section search, then compares
+its answer with the kernel's own values at the budget's ends, where every
+SINR is 0 and the rate is the positive blocklength bonus: every node
+capacity has a local maximum there, which below about 0.3 W can beat every
+interior point, and an end win reports p_r = 0.  In FD a weighted sum can
+also peak twice, and the search can stop on the lower peak (a strict xfail
+in test_solver).  The approximate solver minimizes the cheap min-max
+surrogate instead, but only between the two closed-form single-node optima:
+outside that interval the surrogate develops spurious minima (worst-sample
+artifacts and a funnel where every SNR collapses to zero yet the
+blocklength term keeps the rate positive), so the search is deliberately
+local around the closed-form warm start.  A surrogate probe costs O(kept
+samples): one O(n) prune per solve keeps the few samples that can attain
+the minimum over that span.  Frontier tracing runs either solver across a
 weight grid, or maximizes one node's capacity under a floor on the other,
 with one peak search per node and a bracketing secant per floor crossing
 that can bind: the one on node A's side of node B's peak.
@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
-from .capacity import EcPoint, _end_capacities, _kernel, _surrogate
+from .capacity import EcPoint, _Kernel, _kernel, _surrogate
 from .channel import ChannelSamples
 from .link import NODES, PowerAllocation, RelayMode, SystemParams, _mode_terms, optimal_relay_power_fd, sinr_fd
 
@@ -193,12 +193,12 @@ def _solve_weights(
     probes, iterations and evaluations are those of a solve on its own."""
     tol = line_search_tolerance(params)
     gains = samples.mean_gains()
-    p_a, p_b = _single_node_optima(mode, gains, params)
-    capacities = _kernel(mode, samples, params, NODES)[0]
+    optima = p_a, p_b = _single_node_optima(mode, gains, params)
+    kernel = _kernel(mode, samples, params, NODES)
     exact = method is SolveMethod.EXACT
     if exact:
         def evaluate(rows: list, xs: list) -> list:
-            return [weights[i] * r_ea + (1.0 - weights[i]) * r_eb for i, (r_ea, r_eb) in zip(rows, capacities(xs))]
+            return [weights[i] * r_a + (1.0 - weights[i]) * r_b for i, (r_a, r_b) in zip(rows, kernel.capacities(xs))]
 
         # Warm started at the weight's blend of the closed-form single-node optima.
         searches = [_line_search(0.0, params.p_tot, tol, w * p_a + (1.0 - w) * p_b) for w in weights]
@@ -209,21 +209,20 @@ def _solve_weights(
         lo, hi = min(p_a, p_b), max(p_a, p_b)
         # The closed-form optima localize the search: a plain golden section over
         # their span, every probe in [lo, hi].  A span within tol probes nothing.
-        taus = _surrogate(mode, samples, params, weights, lo, hi) if hi - lo > tol else None
+        taus = _surrogate(mode, samples, params, weights, lo, hi, kernel) if hi - lo > tol else None
         searches = [_line_search(lo, hi, tol, None) for _ in weights]
     results = _lockstep(searches, evaluate)
 
     # One full-sample pass at the returned relay powers gives the capacities
     # reported, each solve's last evaluation.  An exact answer gives way to the
-    # budget's ends when their closed form, not an evaluation, weighs strictly more.
-    ends = _end_capacities(mode, samples, params) if exact else None
-    reports = []
-    for w, res, caps in zip(weights, results, capacities([res.x for res in results])):
+    # budget's ends when the kernel's own values there weigh strictly more.
+    ends, reports = kernel.ends, []
+    for w, res, caps in zip(weights, results, kernel.capacities([res.x for res in results])):
         end_win = exact and w * ends[0] + (1.0 - w) * ends[1] > w * caps[0] + (1.0 - w) * caps[1]
         x, caps = (0.0, ends) if end_win else (res.x, caps)
         alloc = PowerAllocation.from_relay_power(x, params.p_tot)
         report = SolveReport(alloc, EcPoint(*caps, alloc), method, None, res.iterations, len(res.probes) + 1)
-        reports.append(_threshold_policy(report, mode, params, gains, capacities) if apply_policy else report)
+        reports.append(_threshold_policy(report, params, gains, optima, kernel) if apply_policy else report)
     return reports
 
 
@@ -241,7 +240,7 @@ def solve_exact(
     answer gives way to the budget's ends when they weigh strictly more, and
     an end win reports p_r = 0 (module docstring).  The capacities reported
     come from one full-sample pass at the relay power the search returns, the
-    solve's last objective evaluation, or from the ends' closed form.
+    solve's last objective evaluation, or are the kernel's own end values.
     """
     return _solve_weights(mode, samples, params, (params.w,), SolveMethod.EXACT, apply_policy=apply_policy)[0]
 
@@ -269,34 +268,32 @@ def solve_approx(
 
 
 def _threshold_policy(
-    report: SolveReport, mode: RelayMode, params: SystemParams, gains: tuple[float, float], capacities: Callable
+    report: SolveReport, params: SystemParams, gains: tuple[float, float], optima: tuple[float, float], kernel: _Kernel
 ) -> SolveReport:
     """Silence a node whose operating SNR falls below its threshold.
 
-    SNRs are evaluated at the sample-mean gains ``gains``, matching the
-    closed forms.  When one node falls below its threshold its stream is
-    dropped (capacity reported as zero), the relay power is reset to the
-    other node's closed-form optimum and that node's capacity is read off
-    the solve's ``capacities``; node powers still follow the budget.  When
-    both fall below, the solution is returned unchanged with the degenerate
-    flag set, which keeps sweeps comparable instead of transmitting nothing.
+    SNRs are evaluated at the sample-mean gains ``gains`` and the solve's
+    omega, matching the closed forms.  When one node falls below its
+    threshold its stream is dropped (capacity reported as zero), the relay
+    power is reset to the other node's closed-form optimum in ``optima`` and
+    that node's capacity is read off the solve's ``kernel``; node powers
+    still follow the budget.  When both fall below, the solution is returned
+    unchanged with the degenerate flag set, which keeps sweeps comparable
+    instead of transmitting nothing.
     """
-    ha, hb = gains
-    omega = _mode_terms(mode, params)[0]
     below_a, below_b = (
-        float(sinr_fd(report.alloc, omega, ha, hb, node)) <= params.gamma_t_for(node) for node in NODES
+        float(sinr_fd(report.alloc, kernel.omega, *gains, node)) <= params.gamma_t_for(node) for node in NODES
     )
     if below_a and below_b:
         return replace(report, degenerate=True)
     if not (below_a or below_b):
         return report
 
-    keep = "B" if below_a else "A"
-    p_r = optimal_relay_power_fd(ha, hb, params.p_tot, omega, keep)
+    p_r = optima[1] if below_a else optima[0]  # the kept node's
     alloc = PowerAllocation.from_relay_power(p_r, params.p_tot)
-    [(r_ea, r_eb)] = capacities([p_r])  # at the default node power, alloc's
-    caps = (0.0, r_eb) if keep == "B" else (r_ea, 0.0)
-    return replace(report, alloc=alloc, ec=EcPoint(*caps, alloc), silenced="A" if keep == "B" else "B")
+    [(r_ea, r_eb)] = kernel.capacities([p_r])  # at the default node power, alloc's
+    caps, silenced = ((0.0, r_eb), "A") if below_a else ((r_ea, 0.0), "B")
+    return replace(report, alloc=alloc, ec=EcPoint(*caps, alloc), silenced=silenced)
 
 
 def _frontier(points: Sequence[EcPoint], grid: Sequence[float], infeasible=()) -> ParetoFrontier:
@@ -391,8 +388,8 @@ def pareto_epsilon_constraint(
         search = _line_search(0.0, params.p_tot, tol, x0)
         return _lockstep([search], lambda _, xs: [ec for [ec] in capacities(xs)])[0].x
 
-    eb_at, _ = _kernel(mode, samples, params, ("B",))
-    ea_at, _ = _kernel(mode, samples, params, ("A",))
+    eb_at = _kernel(mode, samples, params, ("B",)).capacities
+    ea_at = _kernel(mode, samples, params, ("A",)).capacities
     x_peak = peak(eb_at, p_b)
     x_a = peak(ea_at, p_a)
     clip, x_end = (min, params.p_tot) if x_a >= x_peak else (max, 0.0)  # x_A's side of x_peak

@@ -385,7 +385,7 @@ def worker_samples(n):
 def kernel_outputs(mode, s, p):
     """One- and two-node capacities for one row and for three, and taus for three rows."""
     xs, ys, ws = [40.0, 440.0, 900.0], [480.0, 250.0, 50.0], [0.25, 0.5, 0.8]
-    capacities, taus = _kernel(mode, s, p, ("A", "B"))
+    capacities, taus = _kernel(mode, s, p, ("A", "B"))[:2]
     one_node = _kernel(mode, s, p, ("B",))[0]
     rows = [one_node(xs, ys), capacities([xs[1]]), capacities(xs), capacities(xs, ys), taus(xs, ws)]
     return [one_node([x]) for x in xs] + rows
@@ -582,7 +582,7 @@ def test_one_row_calls_allocate_no_sample_row():
     # a one-row pass on one block works in the kernel's buffer and writes
     # into arrays the kernel owns, so 200 calls hold less than one row of samples
     n = 2**15
-    capacities, taus = _kernel(RelayMode.FD, reference_samples(n, seed=3), SystemParams.reference(), ("A", "B"))
+    capacities, taus = _kernel(RelayMode.FD, reference_samples(n, seed=3), SystemParams.reference(), ("A", "B"))[:2]
     tracemalloc.start()
     try:
         for x in np.linspace(1.0, 999.0, 100).tolist():
@@ -604,7 +604,7 @@ class TestMultiRowBuffer:
 
     @staticmethod
     def closures():
-        return _kernel(RelayMode.FD, reference_samples(), SystemParams.reference(), ("A", "B"))
+        return _kernel(RelayMode.FD, reference_samples(), SystemParams.reference(), ("A", "B"))[:2]
 
     def test_smaller_buffer_only_in_multi_row_calls(self, monkeypatch):
         seen, rate_into = [], capacity._rate_into
@@ -655,7 +655,7 @@ class TestMultiRowBuffer:
 @pytest.mark.parametrize("mode", list(RelayMode))
 def test_rejects_columns_not_matching_relay_powers(mode):
     # such a call once read leftover buffer contents, or reused one weight for every row
-    capacities, taus = _kernel(mode, reference_samples(), SystemParams.reference(), ("A", "B"))
+    capacities, taus = _kernel(mode, reference_samples(), SystemParams.reference(), ("A", "B"))[:2]
     with pytest.raises(ValueError, match="1 entries for 3 relay powers"):
         capacities([100.0, 200.0, 300.0], [450.0])
     with pytest.raises(ValueError, match="2 entries for 1 relay powers"):
@@ -692,7 +692,7 @@ def test_rows_and_nodes_agree_bit_for_bit(n, mode, rows, explicit):
     node_p = [y for _, y, _ in rows] if explicit else None
     ws = [w for _, _, w in rows]
     one = [None] * len(rows) if node_p is None else [[y] for y in node_p]
-    capacities, taus = _kernel(mode, s, p, ("A", "B"))
+    capacities, taus = _kernel(mode, s, p, ("A", "B"))[:2]
     calls = [capacities(xs, node_p), capacities(xs[:2], node_p and node_p[:2]), capacities(xs, node_p)]
     tau_calls = [taus(xs, ws), taus(xs[:2], ws[:2]), taus(xs, ws)]
     both = [capacities([x], y)[0] for x, y in zip(xs, one)]
@@ -709,17 +709,17 @@ def test_rows_and_nodes_agree_bit_for_bit(n, mode, rows, explicit):
 @pytest.mark.parametrize("n", (1, 1000, 2 * _BLOCK + 17))
 @pytest.mark.parametrize("mode", list(RelayMode))
 def test_end_capacities_are_the_kernels_bit_for_bit(n, mode):
-    """At p_r = 0 and at p_r = p_tot every SINR is 0, and the closed form is
-    the kernel's capacity there, for either node alone and for both."""
+    """At p_r = 0 and at p_r = p_tot every SINR is 0, and the end values a
+    kernel hands out are its own rows there, for either node alone and for both."""
     p = SystemParams.reference(d_a=0.3, omega=0.05, eps_a=1e-3, eps_b=1e-6, theta_a=2e-3, theta_b=5e-4)
     s = property_samples(n)
-    ends = capacity._end_capacities(mode, s, p)
-    assert ends[0] != ends[1]  # a mixed-up node shows
+    both = _kernel(mode, s, p, ("A", "B")).ends
+    assert both[0] != both[1]  # a mixed-up node shows
     for nodes in (("A", "B"), ("A",), ("B",)):
-        capacities = _kernel(mode, s, p, nodes)[0]
-        want = [ends["AB".index(node)] for node in nodes]
+        kernel = _kernel(mode, s, p, nodes)
+        assert kernel.ends == [both["AB".index(node)] for node in nodes]
         for xs in ([0.0], [p.p_tot], [0.0, p.p_tot, 0.0]):
-            assert capacities(xs) == [want] * len(xs)
+            assert kernel.capacities(xs) == [kernel.ends] * len(xs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -751,10 +751,11 @@ def test_pruned_surrogate_matches_full_kernel(crossover, n, mode, log_p_tot, m, 
     xs = [lo + f * (hi - lo) for f, _ in probes]
     ws = [weights[i % len(weights)] for _, i in probes]
     s = prune_samples(n)
+    kernel = _kernel(mode, s, p, ("A", "B"))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(capacity, "_FLOAT_SAMPLES", crossover)
-        pruned = capacity._surrogate(mode, s, p, weights, lo, hi)
-    assert pruned(xs, ws) == _kernel(mode, s, p, ("A", "B"))[1](xs, ws)
+        pruned = capacity._surrogate(mode, s, p, weights, lo, hi, kernel)
+    assert pruned(xs, ws) == kernel.taus(xs, ws)
 
 
 @pytest.mark.parametrize("mode", list(RelayMode))
@@ -763,7 +764,8 @@ def test_prune_keeps_few_samples(mode, monkeypatch):
     p = SystemParams.reference(d_a=0.3, omega=0.05)
     s = reference_samples(1000, d_a=0.3)
     xs, ws = [float(x) for x in np.linspace(400.0, 700.0, 7)], [0.2] * 7
-    full = _kernel(mode, s, p, ("A", "B"))[1](xs, ws)
+    kernel = _kernel(mode, s, p, ("A", "B"))
+    full = kernel.taus(xs, ws)
     built = []
 
     def spy(mode, samples, params, nodes):
@@ -772,7 +774,7 @@ def test_prune_keeps_few_samples(mode, monkeypatch):
 
     monkeypatch.setattr(capacity, "_FLOAT_SAMPLES", 0)  # the kept samples go to the kernel, through the spy
     monkeypatch.setattr(capacity, "_kernel", spy)
-    assert capacity._surrogate(mode, s, p, [0.2, 0.5], 400.0, 700.0)(xs, ws) == full
+    assert capacity._surrogate(mode, s, p, [0.2, 0.5], 400.0, 700.0, kernel)(xs, ws) == full
     assert len(built) == 1 and 1 <= built[0] <= 30
 
 
@@ -784,6 +786,7 @@ def test_prune_bound_counts_clipped_peaks(monkeypatch):
     # tell (sample 0 stays the least here), so the kept count is what shows it.
     s = ChannelSamples(np.array([1e3, 2.0]), np.array([1.0, 2.0]))
     p = SystemParams.reference(w=1.0)
+    kernel = _kernel(RelayMode.HD, s, p, ("A", "B"))
     built = []
 
     def spy(mode, samples, params, nodes):
@@ -792,5 +795,5 @@ def test_prune_bound_counts_clipped_peaks(monkeypatch):
 
     monkeypatch.setattr(capacity, "_FLOAT_SAMPLES", 0)  # the kept samples go to the kernel, through the spy
     monkeypatch.setattr(capacity, "_kernel", spy)
-    capacity._surrogate(RelayMode.HD, s, p, [1.0], 50.0, 950.0)
+    capacity._surrogate(RelayMode.HD, s, p, [1.0], 50.0, 950.0, kernel)
     assert built == [2]

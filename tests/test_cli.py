@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 import relayec.capacity as capacity_module
 import relayec.cli as cli
-from relayec import PowerAllocation, RelayMode, SystemParams, ec_point, sample_channels, solve_approx, solve_exact
+from relayec import (
+    Geometry, PowerAllocation, RelayMode, SystemParams, ec_point, sample_channels, solve_approx, solve_exact,
+)
 from relayec.capacity import _kernel
 from relayec.cli import (
     BENCH_FILE_COLUMNS,
@@ -73,11 +75,15 @@ class TestConfig:
         positive = st.floats(0.0, 1e300, exclude_min=True)
         fraction = st.floats(0.0, 1.0)
         d_a = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-        # alpha up to just below where the largest draw, 36.74 d ** -alpha, overflows, which Geometry rejects
-        top = (1.0 - 1e-12) * math.log(sys.float_info.max / 36.74) / -math.log(min(d_a, 1.0 - d_a))
+        # alpha up to where the product of the links' largest draws, 36.74^2 (d_a d_b) ** -alpha,
+        # reaches 1e299, and p_tot below the bound SystemParams puts on a budget at those draws
+        top = math.log(1e299 / 36.74**2) / -math.log(d_a * (1.0 - d_a))
+        alpha = data.draw(st.floats(0.0, top, exclude_min=True))
+        g_a, g_b = Geometry(d_a, alpha).top_draws
+        p_max = 0.99 * (math.sqrt(1e300 / (g_a * g_b + 2.0 * (g_a + g_b) + 1.0)) - 1.0)
         cfg = data.draw(st.builds(
             ExperimentConfig,
-            m=st.integers(1, 10**6), p_tot=positive, alpha=st.floats(0.0, top, exclude_min=True),
+            m=st.integers(1, 10**6), p_tot=st.floats(0.0, p_max, exclude_min=True), alpha=st.just(alpha),
             d_a=st.just(d_a), omega=fraction,
             eps_a=st.floats(0.0, 0.5, exclude_min=True), eps_b=st.floats(0.0, 0.5, exclude_min=True),
             theta_a=positive, theta_b=positive, gamma_t_a=st.floats(0.0, 1e300), gamma_t_b=st.floats(0.0, 1e300),
@@ -451,8 +457,8 @@ class TestMain:
         assert not out.exists()
 
     def test_unevaluable_config_exit_code(self, tmp_path):
-        # a valid budget whose capacities overflow: the error is reported, not
-        # raised (a subprocess, so numpy's overflow warnings stay warnings)
+        # a budget whose SINRs can overflow at the placement's largest draws: the
+        # error is reported, not raised (a subprocess, so any warning stays a warning)
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("p_tot = 1e300\nsamples = 40\n")
         out = tmp_path / "x.csv"
@@ -463,8 +469,20 @@ class TestMain:
             env=env, capture_output=True, text=True,
         )
         assert run.returncode == 1
-        assert "relayec: config error: effective capacities must be finite" in run.stderr
+        assert "relayec: config error: p_tot=1e+300 can overflow an SINR" in run.stderr
         assert "Traceback" not in run.stderr and not out.exists()
+
+    def test_unevaluable_config_in_process(self, tmp_path, capsys):
+        # the same budget is rejected before any kernel runs: once numpy's overflow
+        # warnings, which this suite's filter raises inside the library, came first
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("p_tot = 1e300\nsamples = 40\n")
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as caught:  # keeps the suite's filters
+            assert main(["fig4", "--config", str(cfgfile), "--out", str(out)]) == 1
+        assert caught == []
+        assert "relayec: config error: p_tot=1e+300 can overflow an SINR" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_import_leaves_scipy_unloaded(self):
         # scipy.special alone would add ~0.35 s to every command's start-up, and

@@ -157,6 +157,18 @@ class TestSystemParams:
             with pytest.raises(ValueError):
                 SystemParams.reference(**bad)
 
+    def test_rejects_budget_that_can_overflow_an_sinr(self):
+        # at p_tot = 1e300 the kernel overflowed, with numpy warnings, before EcPoint
+        # rejected its capacities; the bound holds at each link's largest draw
+        with pytest.raises(ValueError, match="p_tot=1e\\+300 can overflow an SINR"):
+            SystemParams.reference(p_tot=1e300)
+        g_a, g_b = Geometry(d_a=0.5, alpha=4.0).top_draws
+        edge = math.sqrt(1e300 / (g_a * g_b + 2.0 * (g_a + g_b) + 1.0)) - 1.0
+        assert SystemParams.reference(p_tot=0.99 * edge).p_tot == 0.99 * edge
+        for bad in (dict(p_tot=1.01 * edge), dict(d_a=0.05, alpha=235.0, p_tot=1e-3)):  # no budget fits the latter
+            with pytest.raises(ValueError, match="can overflow an SINR"):
+                SystemParams.reference(**bad)
+
     @pytest.mark.parametrize(
         "name", ["m", "p_tot", "omega", "eps_a", "eps_b", "theta_a", "theta_b", "gamma_t_a", "gamma_t_b", "w"]
     )

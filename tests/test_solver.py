@@ -27,8 +27,9 @@ from relayec import (
     solve_exact,
 )
 import relayec.capacity as capacity_module
+import relayec.fbl as fbl_module
 import relayec.solver as solver_module
-from relayec.capacity import _end_capacities, _kernel
+from relayec.capacity import _kernel
 from relayec.solver import (
     SolveMethod,
     _crossing,
@@ -379,7 +380,7 @@ def test_exact_solve_finds_higher_fd_peak():
 def test_floor_trace_reaches_end_maximum(p_tot, n):
     p = SystemParams.reference(d_a=0.125, p_tot=p_tot, w=0.0)
     s = sample_channels(p.geom, n, 0)
-    mu = 0.999 * _end_capacities(RelayMode.HD, s, p)[1]
+    mu = 0.999 * _kernel(RelayMode.HD, s, p, ("A", "B")).ends[1]
     front = pareto_epsilon_constraint(RelayMode.HD, s, p, (mu,))
     assert mu not in front.infeasible
     assert front.points and front.points[0].r_eb >= mu
@@ -390,8 +391,9 @@ class TestThresholdPolicy:
         s = reference_samples()
         p = SystemParams.reference(gamma_t_a=0.0, gamma_t_b=0.0)
         rep = solve_exact(RelayMode.HD, s, p, apply_policy=False)
-        capacities = _kernel(RelayMode.HD, s, p, ("A", "B"))[0]
-        assert solver_module._threshold_policy(rep, RelayMode.HD, p, s.mean_gains(), capacities) == rep
+        kernel, gains = _kernel(RelayMode.HD, s, p, ("A", "B")), s.mean_gains()
+        optima = _single_node_optima(RelayMode.HD, gains, p)
+        assert solver_module._threshold_policy(rep, p, gains, optima, kernel) == rep
 
     def test_unreachable_threshold_silences_node(self):
         s = reference_samples()
@@ -457,6 +459,21 @@ class TestOneKernel:
         assert solve(mode, s, p).silenced == "A"
         assert built == [("A", "B")]
 
+    @pytest.mark.parametrize("silenced", [None, "A"])
+    @pytest.mark.parametrize("solve", [solve_exact, solve_approx])
+    @pytest.mark.parametrize("mode", list(RelayMode))
+    def test_solve_derives_dispersion_scales_once(self, mode, solve, silenced, monkeypatch):
+        # the end check, the prune and the threshold policy read the solve's kernel's
+        # terms, so each node's Qinv(eps) is computed once, by that kernel
+        s = reference_samples(d_a=0.3)
+        p = SystemParams.reference(d_a=0.3, eps_a=1e-3, eps_b=1e-6, gamma_t_a=1e9 if silenced else 1.0)
+        calls, inverse_q = [], fbl_module.inverse_q
+        monkeypatch.setattr(fbl_module, "inverse_q", lambda eps: calls.append(eps) or inverse_q(eps))
+        built = self.spy(monkeypatch)
+        assert solve(mode, s, p).silenced == silenced
+        assert built == [("A", "B")]  # so the prune kept at most _FLOAT_SAMPLES samples
+        assert calls == [p.eps_a, p.eps_b]
+
     @pytest.mark.parametrize("silenced", ["A", "B"])
     @pytest.mark.parametrize("solve", [solve_exact, solve_approx])
     @pytest.mark.parametrize("mode", list(RelayMode))
@@ -488,9 +505,9 @@ class TestOneKernel:
         calls = {"A": [], "B": []}  # per node, the relay powers of each call in order
 
         def build(mode, samples, params, nodes):
-            capacities, taus = _kernel(mode, samples, params, nodes)
+            kernel = _kernel(mode, samples, params, nodes)
             [node] = nodes
-            return (lambda p_r: calls[node].append(list(p_r)) or capacities(p_r)), taus
+            return kernel._replace(capacities=lambda p_r: calls[node].append(list(p_r)) or kernel.capacities(p_r))
 
         monkeypatch.setattr(solver_module, "_kernel", build)
         front = pareto_epsilon_constraint(RelayMode.FD, s, p, floors)
