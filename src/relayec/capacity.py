@@ -33,8 +33,8 @@ ufuncs: with the rate's per-node scale and the exponent scale -c theta also
 full rows, only z - z_b broadcasts, a (nodes, 1) column through numpy 2's
 buffered path (below), which slows an (n,) row spread over the nodes as
 well.  It writes z_b and s_b into arrays the kernel owns and allocates no
-array memory.  Every other pass takes each per-node constant as a column,
-(nodes, 1), or (nodes, 1, 1) for k > 1 rows, for one node as for two,
+array memory.  Every other pass, one row as k = 1 of k rows, takes each
+per-node constant as a (nodes, 1, 1) column, for one node as for two,
 because spreading the full row to (nodes, 1, n) is slow under any buffer.
 Above one block the full rows would be n-sized arrays held per kernel, so
 each pass forms the products in its block buffer, and memory stays one
@@ -200,13 +200,13 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
     for, so it compares allocations but not parameter sets.  It needs no
     per-sample exponential or logarithm beyond the rate itself.
 
-    A pass covers k rows and a block of samples in one (nodes, k, samples)
-    view (no k axis for one row), taken afresh, of its worker's buffer, sized
-    at the largest chunk served; k times the block's samples stays within
-    ``_BLOCK``.  The module docstring gives the buffer scope, the per-node
-    columns (for any node count) and the workers.  A p or w whose length is
-    not p_r's raises ValueError.  One closure must not be called from two
-    threads at once: its workers' buffers serve one call at a time."""
+    A pass covers k >= 1 rows and a block of samples in one (nodes, k,
+    samples) view, taken afresh, of its worker's buffer, sized at the largest
+    chunk served; k times the block's samples stays within ``_BLOCK``.  The
+    module docstring gives the buffer scope, the per-node columns (for any
+    node count) and the workers.  A p or w whose length is not p_r's raises
+    ValueError.  One closure must not be called from two threads at once:
+    its workers' buffers serve one call at a time."""
     omega, m_cu, c = _mode_terms(mode, params)
     bonus = rate_blocklength_bonus(m_cu)
     h_a, h_b, terms = samples.h_a, samples.h_b, []
@@ -218,11 +218,11 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
     width = min(n, _BLOCK)
     rows = _BLOCK // width
     hoisted = n <= _BLOCK  # one block, reused by every pass (module docstring)
-    # per-node (nodes, 1) columns: the rate's scale and the exponent scale -c theta
-    qscale, neg_c_theta = np.array([[t.qscale] for t in terms]), np.array([[-t.c_theta] for t in terms])
+    # per-node (nodes, 1, 1) columns: the rate's scale and the exponent scale -c theta
+    qscale, neg_c_theta = np.array([[[t.qscale]] for t in terms]), np.array([[[-t.c_theta]] for t in terms])
     if hoisted:  # the one-row pass's full rows: gain product, sum and own gains, rate and exponent scales
         hh, hs, gains = np.array([h_a * h_b] * lanes), np.array([h_a + h_b] * lanes), np.array([t.hr for t in terms])
-        q_row, scale_row = np.repeat(qscale, n, 1), np.repeat(neg_c_theta, n, 1)
+        q_row, scale_row = np.repeat(qscale[:, 0], n, 1), np.repeat(neg_c_theta[:, 0], n, 1)
         blocks = [(hh[0], hs[0], gains)]
     else:  # per block: the gains, whose product and sum each pass forms
         blocks = [
@@ -235,17 +235,13 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
     bufs = np.empty((min(_WORKERS, len(blocks)), 2 + lanes, 1, width))
     row_top, row_sums = np.empty((2, lanes))  # per node: the one-row pass's z_b and s_b
 
-    def run(worker: int, bs, k: int, at, chunk, reduce):
-        """Blocks ``bs`` of one chunk's pass in views of the worker's buffer: the
-        SINR pieces and rate, handed to ``reduce(b, at, z, scale)`` with the
-        chunk's rows ``at`` (an index, or a slice when k > 1) and the
-        per-node exponent scale -c theta shaped to the rate array z."""
-        buf = bufs[worker, :, :k] if k > 1 else bufs[worker, :, 0]
-        # only one block serves k > 1 rows; its per-node constants are then (nodes, 1, 1) columns
-        q, scale = (qscale[:, None], neg_c_theta[:, None]) if k > 1 else (qscale, neg_c_theta)
+    def run(worker: int, bs, at: slice, chunk, reduce):
+        """Blocks ``bs`` of one chunk's pass in a (2 + nodes, k, samples) view
+        of the worker's buffer: the SINR pieces and the (nodes, k, samples)
+        rate z, handed to ``reduce(b, at, z)`` with the chunk's rows ``at``."""
         for b in bs:
             hh, hs, hrs = blocks[b]
-            sub = buf[..., : hh.shape[-1]]
+            sub = bufs[worker, :, : at.stop - at.start, : hh.shape[-1]]
             # one num and common row per relay power, shared by the nodes, then their SINRs
             num, common, gamma = sub[0], sub[1], sub[2:]
             if not hoisted:  # the block's gain product and sum
@@ -253,14 +249,14 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
             _, _, relay = _sinr_shared(chunk, hh, hs, num, common)
             for h_r, out in zip(hrs, gamma):  # one node at a time
                 _sinr_node(num, common, relay, h_r, out)
-            reduce(b, at, _rate_into(gamma, q, bonus, sub[:lanes]), scale)
+            reduce(b, at, _rate_into(gamma, qscale, bonus, sub[:lanes]))
 
     def passes(p_r, p, reduce):
-        """Every chunk of rows over every block, by ``run``, at node powers p of
-        p_r's length (None: the budget left, split), three or more rows under
-        ``_BUFSIZE``.  A chunk of two or more blocks runs them on up to ``_WORKERS``
-        workers: the caller takes blocks 0, 2, ..., the pool thread 1, 3, ..., each
-        in its own buffer, and the call returns once both are done."""
+        """Every chunk of k >= 1 rows, its powers as (k, 1) columns, over every block,
+        by ``run``, at node powers p of p_r's length (None: the budget left, split),
+        three or more rows under ``_BUFSIZE``.  A chunk of two or more blocks runs
+        them on up to ``_WORKERS`` workers: the caller takes blocks 0, 2, ..., the pool
+        thread 1, 3, ..., each in its own buffer, and the call returns once both are done."""
         nonlocal bufs
         if bufs.shape[2] < min(len(p_r), rows):  # grow the buffer to the largest chunk (one worker)
             bufs = np.empty((1, 2 + lanes, min(len(p_r), rows), width))
@@ -269,16 +265,13 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
             for r0 in range(0, len(p_r), rows):
                 xs = np.array(p_r[r0 : r0 + rows], float)[:, None]  # the chunk's powers, and SINR factors, as columns
                 ys = (params.p_tot - xs) / 2.0 if p is None else np.array(p[r0 : r0 + rows], float)[:, None]
-                k = len(xs)
-                if k == 1:  # one row's SINR factors stay floats, on numpy's scalar paths
-                    xs, ys = float(xs[0, 0]), float(ys[0, 0])
-                at, chunk = (r0 if k == 1 else slice(r0, r0 + k)), _sinr_coefficients(xs, ys, omega)
+                at, chunk = slice(r0, r0 + len(xs)), _sinr_coefficients(xs, ys, omega)
                 if len(bufs) == 1:
-                    run(0, range(len(blocks)), k, at, chunk, reduce)
+                    run(0, range(len(blocks)), at, chunk, reduce)
                     continue
-                task = _submit(run, 1, range(1, len(blocks), 2), k, at, chunk, reduce)
+                task = _submit(run, 1, range(1, len(blocks), 2), at, chunk, reduce)
                 try:
-                    run(0, range(0, len(blocks), 2), k, at, chunk, reduce)
+                    run(0, range(0, len(blocks), 2), at, chunk, reduce)
                 finally:
                     task.exception()  # waits: the pool thread is done with the chunk
                 task.result()  # re-raises the pool thread's exception
@@ -311,7 +304,7 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
             fold(row(p_r[0], None if p is None else p[0]), scale_row, row_top, row_sums)
             return [[t.capacity(peak, total, n) for t, peak, total in zip(terms, row_top.tolist(), row_sums.tolist())]]
         kept = np.empty((2, len(blocks), lanes, len(p_r)))  # per block, node and row: z_b and s_b
-        passes(p_r, p, lambda b, at, z, scale: fold(z, scale, kept[0, b, :, at, ...], kept[1, b, :, at, ...]))
+        passes(p_r, p, lambda b, at, z: fold(z, neg_c_theta, kept[0, b, :, at], kept[1, b, :, at]))
         top, sums = kept[:, 0].tolist()  # per node and row
         if len(blocks) > 1:  # Z = max_b z_b and sum_b s_b exp(z_b - Z)
             for i, r in np.ndindex(lanes, len(p_r)):
@@ -337,8 +330,8 @@ def _kernel(mode: RelayMode, samples: ChannelSamples, params: SystemParams, node
             return [-0.5 * float(weigh(row(p_r[0], None), w[0]))]
         # per block and row: the minimum; the weights as a column
         low, w_col = np.empty((len(blocks), len(p_r))), np.array(w, float)[:, None]
-        passes(p_r, None, lambda b, at, rs, _: weigh(rs, w_col[at], low[b, at, ...]))
-        return (-0.5 * (np.minimum.reduce(low, 0) if len(blocks) > 1 else low[0])).tolist()
+        passes(p_r, None, lambda b, at, rs: weigh(rs, w_col[at], low[b, at]))
+        return (-0.5 * np.minimum.reduce(low, 0)).tolist()
 
     ends = [t.capacity(bonus * -t.c_theta, n, n) for t in terms]  # every SINR 0, every rate the bonus
     return _Kernel(capacities, taus, ends, omega, [t.qscale for t in terms], bonus)

@@ -243,7 +243,9 @@ def optimal_relay_power_fd(
 
     At omega = 0 this collapses to the HD expression exactly, and the
     leading-coefficient sign change of the quadratic (possible for
-    H_A < H_B at large omega) cancels out of this form altogether.
+    H_A < H_B at large omega) cancels out of this form altogether.  Where
+    the radicand, of order p_tot^4, overflows, the form is divided through
+    by sqrt(G K); a root outside (0, p_tot) raises ValueError.
     """
     if not (0.0 < h_a < math.inf and 0.0 < h_b < math.inf):
         raise ValueError(f"gains must be positive and finite, got H_A={h_a}, H_B={h_b}")
@@ -256,4 +258,9 @@ def optimal_relay_power_fd(
     k = (h_a + h_b) * p_tot + 2.0
     gk = g * k
     disc = gk * 4.0 * (hr * p_tot + 1.0) * (omega * p_tot + 1.0)
-    return gk * p_tot / (gk + math.sqrt(disc))
+    if disc == math.inf:  # divided through by sqrt(G K) only here: its bits differ at ordinary budgets
+        gk, disc = math.sqrt(gk), 4.0 * (hr * p_tot + 1.0) * (omega * p_tot + 1.0)
+    p_r = gk * p_tot / (gk + math.sqrt(disc))
+    if not 0.0 < p_r < p_tot:
+        raise ValueError(f"no finite optimum at p_tot={p_tot}, omega={omega}, H_A={h_a}, H_B={h_b}")
+    return p_r

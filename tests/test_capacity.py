@@ -2,11 +2,13 @@ import csv
 import functools
 import math
 import os
+import re
 import select
 import signal
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -540,12 +542,14 @@ class TestBatchedKernel:
     + 17 samples a pass holds one row, which K = 2 and 21 already exercise.
     n = 2730 and 2731 sit on either side of numpy's buffering edge (see
     TestMultiRowBuffer), each with one pass of two rows and with more rows
-    than one pass holds."""
+    than one pass holds.  At n = _BLOCK and 20000 one block holds a single
+    row, so K = 3 runs every pass of a one-block call one row at a time."""
 
     @pytest.mark.parametrize(
         "n, k",
         [(n, k) for n in (1, 1000) for k in (1, 2, 21, 1024)] + [(1000, 33)] + [(2 * _BLOCK + 17, k) for k in (1, 2, 21)]
-        + [(n, k) for n in (2730, 2731, 4096, 8193) for k in (2, _BLOCK // n + 3)],
+        + [(n, k) for n in (2730, 2731, 4096, 8193) for k in (2, _BLOCK // n + 3)]
+        + [(_BLOCK, 3), (20000, 3)],
     )
     @pytest.mark.parametrize("mode", list(RelayMode))
     def test_rows_match_scalar_entry_points(self, n, k, mode):
@@ -776,6 +780,13 @@ def test_prune_keeps_few_samples(mode, monkeypatch):
     monkeypatch.setattr(capacity, "_kernel", spy)
     assert capacity._surrogate(mode, s, p, [0.2, 0.5], 400.0, 700.0, kernel)(xs, ws) == full
     assert len(built) == 1 and 1 <= built[0] <= 30
+
+
+def test_readme_float_crossover_matches_code():
+    # README's solver list gives the kept-sample count above which the surrogate runs in the kernel
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (count,) = re.findall(r"for more than (\d+) of\s+them, in the capacity kernel", readme)
+    assert int(count) == capacity._FLOAT_SAMPLES
 
 
 def test_prune_bound_counts_clipped_peaks(monkeypatch):

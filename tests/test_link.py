@@ -1,3 +1,4 @@
+import decimal
 import math
 import re
 from dataclasses import fields
@@ -330,6 +331,25 @@ class TestOptimalRelayPowerFd:
             for node in ("A", "B"):
                 x, step = grid_argmax_fd(ha, hb, p_tot, om, node)
                 assert abs(optimal_relay_power_fd(ha, hb, p_tot, om, node) - x) <= step
+
+    @pytest.mark.parametrize("p_tot", [1e80, 1e100, 1e140, 1.6e147])
+    def test_overflowing_radicand_matches_exact_root(self, p_tot):
+        # the radicand grows as p_tot^4: at gains 16 and omega = 0.1 it overflowed from
+        # p_tot ~ 1e77, where the closed form returned 0.0, and NaN followed from ~1e104
+        for omega in (0.01, 0.1, 1.0):
+            for h_a, h_b in ((16.0, 16.0), (588.0, 1e-9), (1e-9, 588.0)):
+                for node, h_r in (("A", h_a), ("B", h_b)):
+                    with decimal.localcontext(prec=60):
+                        ha, hb, hr, p, om = map(decimal.Decimal, (h_a, h_b, h_r, p_tot, omega))
+                        gk = (om * p + 2) * ((ha + hb) * p + 2)
+                        want = float(gk * p / (gk + (gk * 4 * (hr * p + 1) * (om * p + 1)).sqrt()))
+                    got = optimal_relay_power_fd(h_a, h_b, p_tot, omega, node)
+                    assert abs(got - want) <= 1e-14 * want, (omega, h_a, h_b, node)
+
+    def test_rejects_budget_without_finite_root(self):
+        # at p_tot = 1e200 even G K overflows, and the root divided through by its square root is NaN
+        with pytest.raises(ValueError, match="no finite optimum"):
+            optimal_relay_power_fd(16.0, 16.0, 1e200, 0.1)
 
     def test_slope_changes_sign_at_optimum(self):
         p = optimal_relay_power_fd(1.0, 1.0, 10.0, 0.05, "A")

@@ -256,6 +256,13 @@ class TestBudgetScale:
         if p_tot == 1e-3:
             assert solve_exact(mode, s, p).objective_evals <= 40
 
+    def test_huge_fd_budget_keeps_an_interior_optimum(self):
+        # at p_tot = 1e90 the FD closed forms' radicand overflowed: both optima read 0.0, and the
+        # approximate solve reported p_r = 0 as degenerate where the exact solve finds p_r / P ~ 0.44
+        p = SystemParams.reference(p_tot=1e90)
+        report = solve_approx(RelayMode.FD, reference_samples(100, seed=3), p)
+        assert 0.3 < report.alloc.p_r / p.p_tot < 0.6 and not report.degenerate
+
     def test_subnormal_budget_rejected(self):
         # 1e-6 * P_tot underflows to a zero tolerance, which no bracket reaches
         s, p = reference_samples(50), SystemParams.reference(p_tot=1e-320)
