@@ -101,7 +101,7 @@ class ExperimentConfig(SystemParams):
         if self.sweep_param and self.sweep_param not in SWEEP_FIELDS:
             raise ConfigError(f"unknown sweep parameter {self.sweep_param!r}")
         for v in self.sweep_values:
-            if isinstance(v, float) and not math.isfinite(v):
+            if isinstance(v, numbers.Real) and not math.isfinite(v):  # numpy floats of every width
                 raise ConfigError(f"sweep_values must be finite, got {v}")
         if self.sweep_values and list(self.sweep_values) != sorted(self.sweep_values):
             raise ConfigError("sweep_values must be sorted ascending")

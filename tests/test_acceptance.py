@@ -16,6 +16,7 @@ README for the measurements reconciling them.
 import time
 
 import numpy as np
+import pytest
 
 from relayec import (
     Geometry,
@@ -252,6 +253,33 @@ def test_c04_approximate_within_five_percent():
     worst = max(g for _, _, g in gaps)
     ok = all(g < 0.05 for _, _, g in gaps)
     _report("criterion 4 (approx within 5%)", ok, f"worst gap {worst * 100:.2f}%")
+    assert ok
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the surrogate search misses the exact optimum away from d_a = 0.5; its replacement "
+    "waits on a remade solve_sweep reference, which pins the surrogate's answers",
+)
+def test_c04_approximate_within_five_percent_off_midpoint():
+    """Criterion 4 away from the midpoint: HD and FD at three leakages,
+    d_a from 0.2 to 0.8 and three weights, with the threshold policy off
+    so that only the two searches are compared."""
+    gaps = []
+    for d_a in (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8):
+        s = ref_samples(d_a=d_a)
+        # HD ignores omega, so its row runs at the reference 0.1
+        for mode, om in ((RelayMode.HD, 0.1), (RelayMode.FD, 0.01), (RelayMode.FD, 0.05), (RelayMode.FD, 0.10)):
+            for w in (0.25, 0.5, 0.75):
+                params = reference(d_a=d_a, omega=om, w=w)
+                w_e = solve_exact(mode, s, params, apply_policy=False).ec.weighted_sum(w)
+                w_a = solve_approx(mode, s, params, apply_policy=False).ec.weighted_sum(w)
+                gaps.append((abs(w_e - w_a) / w_e, mode.name, om, d_a, w))
+    worst = max(gaps)
+    over = sum(g >= 0.05 for g, *_ in gaps)
+    ok = over == 0
+    _report("criterion 4 off the midpoint (approx within 5%)", ok,
+            f"{over} of {len(gaps)} cells at or over 5%, worst {worst[0] * 100:.1f}% at {worst[1:]}")
     assert ok
 
 

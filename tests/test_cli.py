@@ -179,9 +179,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(**kwargs)
 
-    def test_numpy_nan_sweep_value_rejected(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+    def test_numpy_nan_sweep_value_rejected(self, dtype):
         with pytest.raises(ConfigError, match="sweep_values must be finite"):
-            ExperimentConfig(sweep_param="d_a", sweep_values=(0.2, np.float64("nan")))
+            ExperimentConfig(sweep_param="d_a", sweep_values=(0.2, dtype("nan")))
 
 
 class TestEmitTable:
@@ -403,13 +404,20 @@ class TestMain:
     def test_fig_outputs_match_committed_digests(self, tmp_path):
         # fig_digests.sha256 holds the SHA-256 of fig2-fig8 and of bench (one
         # repeat) at --samples 60 --seed 11 (sha256sum format); a change that
-        # moves any printed digit must update it and say which columns moved
+        # moves any printed digit must update it and say which columns moved.
+        # The digests were made where numpy dispatched X86_V3, X86_V4,
+        # AVX512_ICL and AVX512_SPR; with its AVX-512 levels disabled a few
+        # fig3 and fig8 cells move in their last digits, so a failure names
+        # the levels this run dispatched.
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+        dispatched = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
         digests = Path(__file__).with_name("fig_digests.sha256").read_text().split()
         for digest, name in zip(digests[::2], digests[1::2]):
             out = tmp_path / name
             repeats = ["--repeats", "1"] if out.stem == "bench" else []
             assert main([out.stem, "--samples", "60", "--seed", "11", *repeats, "--out", str(out)]) == 0
-            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, f"{name} (numpy dispatched {dispatched})"
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         assert main(["fig4", "--format", "xx", "--out", str(tmp_path / "x.csv")]) == 1
